@@ -1,30 +1,18 @@
-//! The elastic cooperative cache coordinator.
+//! The elastic cooperative cache over the simulated cloud.
 //!
-//! This module implements the paper's §III in full:
-//!
-//! * **GBA-Insert** (Algorithm 1) — [`ElasticCache::insert`]: hash the key
-//!   to its node; if the node would overflow, find the *fullest bucket
-//!   referencing that node*, pick the bucket's median key `k^µ`, migrate
-//!   the keys in `[min(b_max), k^µ]` away, thread a new bucket at
-//!   `h'(k^µ)`, and retry.
-//! * **Sweep-and-Migrate** (Algorithm 2) — [`ElasticCache`] internal
-//!   `sweep_migrate`: pick the least-loaded *existing* node as the
-//!   destination; only if the swept records would overflow it, allocate a
-//!   brand-new cloud node (greedy, cost-conscious). The sweep itself is the
-//!   B+-tree linked-leaf walk.
-//! * **Eviction** (§III-B) — a global [`crate::SlidingWindow`]; when a time
-//!   slice expires, keys scoring `λ(k) < T_λ` are removed from their nodes.
-//! * **Contraction** (§III-B) — every `ε` slice expirations, merge the two
-//!   least-loaded nodes if their combined data fits under the 65 %
-//!   churn-avoidance threshold, then release the freed instance.
-//!
-//! All latencies (lookups, record transfers `T_net`, node boots) are
-//! charged to the shared virtual clock, so the metrics reproduce the
-//! paper's speedup and overhead figures.
+//! [`ElasticCache`] drives the paper's §III decisions, made by
+//! [`crate::planner::Planner`] (shared with the live TCP coordinator), over
+//! a table of [`CacheNode`]s. Every latency (lookups, record transfers
+//! `T_net`, node boots) is charged to the shared virtual clock, so the
+//! metrics reproduce the paper's speedup and overhead figures. The §VI
+//! extensions — warm pool, proactive splits, replicas with failure
+//! injection, overflow tier, adaptive window — are simulator features.
+
+use std::collections::BTreeMap;
 
 use ecc_bptree::ByteSize;
 use ecc_chash::HashRing;
-use ecc_cloudsim::{Event, NetModel, PersistentStore, SimClock, SimCloud, US_PER_SEC};
+use ecc_cloudsim::{Event, PersistentStore, SimClock, SimCloud, US_PER_SEC};
 use ecc_obs::{ObsEvent, ObsRegistry, TimeSource};
 
 use crate::adaptive::WindowController;
@@ -32,6 +20,7 @@ use crate::config::CacheConfig;
 use crate::error::CacheError;
 use crate::metrics::Metrics;
 use crate::node::CacheNode;
+use crate::planner::{FleetAuditError, Move, NodeKey, NodeStore, Planner, Put};
 use crate::record::Record;
 use crate::warmpool::WarmPool;
 use crate::window::SlidingWindow;
@@ -46,9 +35,15 @@ impl std::fmt::Display for NodeId {
     }
 }
 
+impl NodeKey for NodeId {
+    fn index(self) -> u32 {
+        self.0
+    }
+}
+
 /// Outcome of an injected node failure ([`ElasticCache::fail_node`]).
 #[must_use]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FailureReport {
     /// Primaries on the failed node with no surviving copy.
     pub records_lost: usize,
@@ -62,8 +57,10 @@ pub struct FailureReport {
 /// localise the corruption without a debugger.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CacheAuditError {
-    /// The consistent-hash ring's own structural audit failed.
-    Ring(ecc_chash::RingAuditError),
+    /// The planner's ring-versus-fleet audit failed: a corrupt ring, a
+    /// bucket on an inactive node, an active node without a bucket, or a
+    /// corrupt sliding window.
+    Fleet(FleetAuditError<NodeId>),
     /// A resident key hashes to a different node than the one storing it —
     /// the "every cached key is owned by exactly one node" invariant.
     MisplacedKey {
@@ -73,16 +70,6 @@ pub enum CacheAuditError {
         resident_on: NodeId,
         /// The node the ring resolves the key to (`None`: empty ring).
         owner: Option<NodeId>,
-    },
-    /// A ring bucket references a node that is no longer active.
-    DeadNodeReferenced {
-        /// The inactive node.
-        node: NodeId,
-    },
-    /// An active node owns no bucket, making it unreachable by any key.
-    NodeWithoutBucket {
-        /// The orphaned node.
-        node: NodeId,
     },
     /// A node's cached byte accounting disagrees with the sum of its
     /// resident record sizes.
@@ -103,17 +90,12 @@ pub enum CacheAuditError {
         /// The node's capacity.
         capacity: u64,
     },
-    /// The sliding window's internal structure is corrupt.
-    Window {
-        /// What the window self-check found.
-        what: &'static str,
-    },
 }
 
 impl std::fmt::Display for CacheAuditError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Ring(e) => write!(f, "ring audit failed: {e}"),
+            Self::Fleet(e) => write!(f, "{e}"),
             Self::MisplacedKey {
                 key,
                 resident_on,
@@ -122,12 +104,6 @@ impl std::fmt::Display for CacheAuditError {
                 f,
                 "key {key} resident on {resident_on} but owned by {owner:?}"
             ),
-            Self::DeadNodeReferenced { node } => {
-                write!(f, "ring references inactive node {node}")
-            }
-            Self::NodeWithoutBucket { node } => {
-                write!(f, "active node {node} owns no bucket")
-            }
             Self::ByteAccountingMismatch {
                 node,
                 counted,
@@ -141,7 +117,6 @@ impl std::fmt::Display for CacheAuditError {
                 used,
                 capacity,
             } => write!(f, "node {node} holds {used} B over capacity {capacity} B"),
-            Self::Window { what } => write!(f, "sliding window corrupt: {what}"),
         }
     }
 }
@@ -154,27 +129,29 @@ const LOOKUP_REQ_BYTES: u64 = 32;
 const MISS_RESP_BYTES: u64 = 8;
 /// Per-record key/framing overhead charged on migration transfers.
 const RECORD_WIRE_OVERHEAD: u64 = 16;
-/// Sanity bound on GBA's split-and-retry recursion.
-const MAX_SPLIT_RETRIES: u32 = 64;
 
 /// The coordinator of the elastic cooperative cache.
 pub struct ElasticCache {
+    planner: Planner<NodeId>,
+    fleet: SimFleet,
+    time_steps: u64,
+    controller: Option<WindowController>,
+    /// Queries observed in the slice currently being recorded.
+    slice_queries: u64,
+}
+
+/// The simulated node table: the [`NodeStore`] the planner drives, plus
+/// everything its operations charge — the virtual clock, the cloud
+/// (instances, billing, event trace), the metrics and the flight recorder
+/// (stamped off the virtual clock).
+struct SimFleet {
     cfg: CacheConfig,
     clock: SimClock,
     cloud: SimCloud,
-    net: NetModel,
-    ring: HashRing<NodeId>,
     nodes: Vec<Option<CacheNode>>,
-    window: Option<SlidingWindow>,
     metrics: Metrics,
-    expirations: u64,
-    time_steps: u64,
     warm_pool: WarmPool,
-    controller: Option<WindowController>,
     tier: Option<PersistentStore>,
-    /// Queries observed in the slice currently being recorded.
-    slice_queries: u64,
-    /// Flight recorder + latency histograms, stamped off the virtual clock.
     obs: ObsRegistry,
 }
 
@@ -186,9 +163,7 @@ impl ElasticCache {
     ///
     /// Panics if the configuration fails [`CacheConfig::validate`].
     pub fn new(cfg: CacheConfig) -> Self {
-        cfg.validate();
-        let clock = SimClock::new();
-        Self::with_clock(cfg, clock)
+        Self::with_clock(cfg, SimClock::new())
     }
 
     /// Build against an externally owned clock (shared with other
@@ -196,42 +171,39 @@ impl ElasticCache {
     pub fn with_clock(cfg: CacheConfig, clock: SimClock) -> Self {
         cfg.validate();
         let mut cloud = SimCloud::new(clock.clone(), cfg.seed, cfg.boot_latency);
-        let window = cfg
-            .window
-            .as_ref()
-            .map(|w| SlidingWindow::new(w.slices, w.alpha, w.effective_threshold()));
         // Initial node: bucket at the top of the line owns everything.
         let receipt = cloud.allocate(cfg.instance_type.clone());
-        let node = CacheNode::new(receipt.id, cfg.node_capacity_bytes, cfg.btree_order);
-        let mut ring = HashRing::new(cfg.ring_range);
-        let seeded = ring.insert_bucket(cfg.ring_range - 1, NodeId(0));
-        debug_assert!(seeded.is_ok(), "a fresh ring has no bucket to collide with");
-        let net = cfg.net;
         let mut warm_pool = WarmPool::new(cfg.warm_pool);
         warm_pool.replenish(&mut cloud, &cfg.instance_type);
-        let controller = cfg.adaptive_window.map(WindowController::new);
-        let tier = cfg.overflow_tier.clone().map(PersistentStore::new);
-        let obs = ObsRegistry::new(TimeSource::Sim(clock.clone()));
-        obs.emit(ObsEvent::NodeAlloc {
-            at_us: clock.now_us(),
-            node: 0,
-        });
-        Self {
+        let mut planner = Planner::new(
+            cfg.ring_range,
+            NodeId(0),
+            cfg.node_capacity_bytes,
+            cfg.merge_fill_threshold,
+            cfg.min_nodes,
+        );
+        planner.set_window(
+            cfg.window
+                .as_ref()
+                .map(|w| SlidingWindow::new(w.slices, w.alpha, w.effective_threshold())),
+        );
+        let mut fleet = SimFleet {
+            tier: cfg.overflow_tier.clone().map(PersistentStore::new),
+            obs: ObsRegistry::new(TimeSource::Sim(clock.clone())),
             cfg,
             clock,
             cloud,
-            net,
-            ring,
-            nodes: vec![Some(node)],
-            window,
+            nodes: Vec::new(),
             metrics: Metrics::new(),
-            expirations: 0,
-            time_steps: 0,
             warm_pool,
-            controller,
-            tier,
+        };
+        fleet.push_node(receipt.id);
+        Self {
+            planner,
+            controller: fleet.cfg.adaptive_window.map(WindowController::new),
+            fleet,
+            time_steps: 0,
             slice_queries: 0,
-            obs,
         }
     }
 
@@ -239,64 +211,57 @@ impl ElasticCache {
 
     /// The configuration in use.
     pub fn config(&self) -> &CacheConfig {
-        &self.cfg
+        &self.fleet.cfg
     }
 
     /// The shared virtual clock.
     pub fn clock(&self) -> &SimClock {
-        &self.clock
+        &self.fleet.clock
     }
 
     /// Cumulative metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.fleet.metrics
     }
 
     /// The cloud provider (billing, instance table, event trace).
     pub fn cloud(&self) -> &SimCloud {
-        &self.cloud
+        &self.fleet.cloud
     }
 
     /// The observability registry (flight recorder + latency histograms).
     pub fn obs(&self) -> &ObsRegistry {
-        &self.obs
+        &self.fleet.obs
     }
 
     /// The consistent-hash ring.
     pub fn ring(&self) -> &HashRing<NodeId> {
-        &self.ring
+        self.planner.ring()
     }
 
     /// The eviction window, if one is configured.
     pub fn window(&self) -> Option<&SlidingWindow> {
-        self.window.as_ref()
+        self.planner.window()
     }
 
     /// Number of currently active cache nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
+        self.fleet.nodes().count()
     }
 
     /// Total records resident across all nodes.
     pub fn total_records(&self) -> usize {
-        self.nodes
-            .iter()
-            .flatten()
-            .map(CacheNode::record_count)
-            .sum()
+        self.fleet.nodes().map(|(_, n)| n.record_count()).sum()
     }
 
     /// Total payload bytes resident across all nodes.
     pub fn total_bytes(&self) -> u64 {
-        self.nodes.iter().flatten().map(CacheNode::used_bytes).sum()
+        self.fleet.nodes().map(|(_, n)| n.used_bytes()).sum()
     }
 
     /// Iterate over `(id, node)` for every active node.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &CacheNode)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (NodeId(i as u32), n)))
+        self.fleet.nodes()
     }
 
     /// Completed time steps (slice closures).
@@ -306,7 +271,424 @@ impl ElasticCache {
 
     /// Slice expirations seen so far.
     pub fn expirations(&self) -> u64 {
-        self.expirations
+        self.planner.expirations()
+    }
+
+    /// The warm standby pool (empty unless `warm_pool > 0`).
+    pub fn warm_pool(&self) -> &WarmPool {
+        &self.fleet.warm_pool
+    }
+
+    /// The persistent overflow tier, if configured.
+    pub fn tier(&self) -> Option<&PersistentStore> {
+        self.fleet.tier.as_ref()
+    }
+
+    /// Cost of the overflow tier so far in micro-dollars (0 without one).
+    pub fn tier_cost_microdollars(&self) -> u64 {
+        self.tier()
+            .map_or(0, |t| t.cost_microdollars(self.fleet.clock.now_us()))
+    }
+
+    /// Convenience: seconds of virtual time elapsed.
+    pub fn elapsed_secs(&self) -> f64 {
+        self.fleet.clock.now_us() as f64 / US_PER_SEC as f64
+    }
+
+    /// Mirror the planner's split and merge counters into the metrics.
+    fn sync_counters(&mut self) {
+        self.fleet.metrics.splits = self.planner.splits();
+        self.fleet.metrics.merges = self.planner.merges();
+    }
+
+    // -------------------------------------------------------------- queries
+
+    /// Full cached-service query: look up `key`; on a miss run `miss` (the
+    /// backing service), charge its execution time, and cache the result.
+    ///
+    /// `uncached_us` is what the service would cost without the cache (the
+    /// baseline the speedup figures divide by); for a miss it is also the
+    /// time actually charged for the service execution.
+    pub fn query(&mut self, key: u64, uncached_us: u64, miss: impl FnOnce() -> Record) -> Record {
+        let t0 = self.fleet.clock.now_us();
+        self.fleet.metrics.baseline_us += uncached_us;
+        let (rec, hist) = match self.lookup_inner(key) {
+            Some(rec) => (rec, "cache_query_us:hit"),
+            None => {
+                // Memory miss: the persistent overflow tier (if any) may
+                // still hold an evicted copy — a tier fetch beats re-running
+                // the 23 s service by orders of magnitude (§IV-D trade-off).
+                let tiered = self.fleet.tier.as_mut().and_then(|tier| {
+                    let (found, dur_us) = tier.get(self.fleet.clock.now_us(), key);
+                    self.fleet.clock.advance_us(dur_us);
+                    found
+                });
+                let (rec, hist) = match tiered {
+                    Some(bytes) => {
+                        self.fleet.metrics.tier_hits += 1;
+                        (Record::from_bytes(bytes), "cache_query_us:tier")
+                    }
+                    None => {
+                        // Execute the service.
+                        let rec = miss();
+                        self.fleet.clock.advance_us(uncached_us);
+                        self.fleet.metrics.service_us += uncached_us;
+                        (rec, "cache_query_us:miss")
+                    }
+                };
+                match self.insert(key, rec.clone()) {
+                    // A record bigger than a node can never be cached; serve
+                    // it uncached rather than dying.
+                    Ok(()) | Err(CacheError::RecordTooLarge { .. }) => {}
+                    // Any other failure is a coordinator fault — likewise
+                    // served uncached, and counted so it shows up.
+                    Err(_) => {
+                        self.fleet.metrics.insert_errors += 1;
+                        self.fleet.obs.emit(ObsEvent::InsertError {
+                            at_us: self.fleet.clock.now_us(),
+                            key,
+                        });
+                    }
+                }
+                (rec, hist)
+            }
+        };
+        let dt = self.fleet.clock.now_us() - t0;
+        self.fleet.metrics.observed_us += dt;
+        self.fleet.obs.record(hist, dt);
+        rec
+    }
+
+    /// Look up `key`, charging the lookup path and recording hit/miss.
+    pub fn lookup(&mut self, key: u64) -> Option<Record> {
+        let t0 = self.fleet.clock.now_us();
+        let r = self.lookup_inner(key);
+        self.fleet.metrics.observed_us += self.fleet.clock.now_us() - t0;
+        r
+    }
+
+    fn lookup_inner(&mut self, key: u64) -> Option<Record> {
+        let fleet = &mut self.fleet;
+        fleet.metrics.queries += 1;
+        self.slice_queries += 1;
+        self.planner.note_query(key);
+        // The ring always has a bucket by construction; an empty ring or a
+        // dangling owner degrades to a miss instead of tearing down the
+        // whole cache.
+        let rec = self
+            .planner
+            .owner(key)
+            .ok()
+            .and_then(|nid| fleet.node_at(nid))
+            .and_then(|n| n.get(key).cloned());
+        fleet.clock.advance_us(fleet.cfg.lookup_overhead_us);
+        let resp_bytes = rec.as_ref().map_or(MISS_RESP_BYTES, |r| r.len() as u64);
+        fleet
+            .clock
+            .advance_us(fleet.cfg.net.rtt_us(LOOKUP_REQ_BYTES, resp_bytes));
+        match &rec {
+            Some(_) => fleet.metrics.hits += 1,
+            None => fleet.metrics.misses += 1,
+        }
+        rec
+    }
+
+    // ------------------------------------------------------- GBA insertion
+
+    /// Algorithm 1: GBA-Insert. Inserts `record` under `key`, splitting
+    /// buckets and (as a last resort) allocating cloud nodes until the
+    /// owning node can hold it.
+    pub fn insert(&mut self, key: u64, record: Record) -> Result<(), CacheError> {
+        // Capacity decisions charge the record's true slot footprint; the
+        // wire transfer below is charged its raw payload length.
+        let size = record.byte_size() as u64;
+        let capacity = self.fleet.cfg.node_capacity_bytes;
+        if size > capacity {
+            return Err(CacheError::RecordTooLarge { size, capacity });
+        }
+        let r = self.planner.ring().range();
+        if key >= r {
+            return Err(CacheError::KeyOutOfRange { key, r });
+        }
+        // Charge the put transfer once (the record travels to whichever
+        // node finally stores it).
+        let wire = record.len() as u64 + RECORD_WIRE_OVERHEAD;
+        self.fleet
+            .clock
+            .advance_us(self.fleet.cfg.net.transfer_us(wire));
+        let placed = self.planner.insert(&mut self.fleet, key, &record);
+        self.sync_counters();
+        placed?;
+        self.place_replica(key, &record);
+        #[cfg(debug_assertions)]
+        self.validate();
+        Ok(())
+    }
+
+    /// The node holding best-effort replicas for `key`: the next *distinct*
+    /// node along the bucket line after the primary's bucket. `None` when
+    /// the fleet has a single node.
+    fn replica_target(&self, key: u64) -> Option<NodeId> {
+        let ring = self.planner.ring();
+        let primary_bucket = ring.bucket_for_key(key)?;
+        let primary = *ring.node_of_bucket(primary_bucket)?;
+        let mut bucket = primary_bucket;
+        for _ in 0..ring.len() {
+            bucket = ring.successor(bucket).ok()?;
+            let node = *ring.node_of_bucket(bucket)?;
+            if node != primary {
+                return Some(node);
+            }
+        }
+        None
+    }
+
+    /// Best-effort replica placement after a primary insertion (no-op when
+    /// replication is disabled or no distinct peer exists).
+    fn place_replica(&mut self, key: u64, record: &Record) {
+        if !self.fleet.cfg.replicate {
+            return;
+        }
+        let Some(target) = self.replica_target(key) else {
+            return;
+        };
+        // The target drifts as the ring splits and merges; copies placed at
+        // earlier targets would otherwise linger and could be promoted over
+        // a fresher primary on failure recovery. Sweep every node first —
+        // including the target, so a replica that then fails to fit leaves
+        // no copy rather than a stale one. The fleet is small.
+        self.fleet.drop_replicas(key);
+        let wire = record.len() as u64 + RECORD_WIRE_OVERHEAD;
+        self.fleet.charge_transfer(wire);
+        if let Some(node) = self.fleet.node_at_mut(target) {
+            node.insert_replica(key, record.clone());
+        }
+    }
+
+    // ------------------------------------------------- eviction/contraction
+
+    /// Close the current time slice (one experiment time step). Runs
+    /// decay-scored eviction on the expired slice (if the window is full)
+    /// and, every `ε` expirations, attempts contraction.
+    pub fn end_time_step(&mut self) {
+        self.time_steps += 1;
+        let slice_queries = std::mem::take(&mut self.slice_queries);
+        if let Some(fill) = self.fleet.cfg.proactive_split_fill {
+            self.proactive_split(fill);
+        }
+        let mut expired = Vec::new();
+        if let Some(window) = self.planner.window_mut() {
+            expired.extend(window.end_slice());
+            // Dynamic window sizing (§VI): let the controller react to the
+            // completed slice's rate; shrinking expires further slices now.
+            if let Some(controller) = &mut self.controller {
+                let current = window.slices();
+                let next = controller.observe(slice_queries, current);
+                if next != current {
+                    expired.extend(window.set_slices(next));
+                }
+            }
+        }
+        if !expired.is_empty() {
+            let eps = self.fleet.cfg.contraction_epsilon;
+            let done = self.planner.expire(&mut self.fleet, &expired, eps);
+            debug_assert!(done.is_ok(), "slice expiry failed: {done:?}");
+        }
+        self.sync_counters();
+        #[cfg(debug_assertions)]
+        self.validate();
+    }
+
+    /// Proactive splitting (§VI prefetching): relieve nodes close to
+    /// overflow off the query critical path. Each node is driven all the
+    /// way below the threshold in this one pass — a single bucket split
+    /// may shed only a small fraction of a node's bytes, and leaving the
+    /// node above threshold would re-trigger (and re-pay for) the scan
+    /// every step.
+    fn proactive_split(&mut self, fill: f64) {
+        let near_full: Vec<NodeId> = self
+            .fleet
+            .nodes()
+            .filter(|(_, n)| n.fill() > fill)
+            .map(|(id, _)| id)
+            .collect();
+        // Hysteresis: trigger above `fill`, relieve down to 90 % of it, so
+        // a relieved node does not re-cross the trigger (and re-pay the
+        // scan) a few insertions later.
+        let relieve_to = fill * 0.9;
+        for nid in near_full {
+            for _ in 0..crate::planner::MAX_SPLIT_RETRIES {
+                if self.fleet.node_at(nid).map_or(0.0, CacheNode::fill) <= relieve_to {
+                    break;
+                }
+                // If every peer is itself near the threshold, shuffling
+                // records around would only push the problem to the next
+                // step (migration ping-pong). Pre-allocate a fresh node
+                // instead — this *is* the prefetch: the boot proceeds in
+                // the background, and the split lands on the empty node.
+                let peer_headroom = self
+                    .fleet
+                    .nodes()
+                    .filter(|(id, _)| *id != nid)
+                    .map(|(_, n)| n.fill())
+                    .fold(f64::INFINITY, f64::min);
+                if peer_headroom >= relieve_to {
+                    let receipt = self
+                        .fleet
+                        .cloud
+                        .allocate(self.fleet.cfg.instance_type.clone());
+                    self.fleet.push_node(receipt.id);
+                }
+                // Best effort — an unsplittable node waits for GBA.
+                if self.planner.split(&mut self.fleet, nid).is_err() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Simulate the abrupt failure of a cache node (instance crash or
+    /// unplanned termination). The node's buckets are re-pointed at the
+    /// least-loaded survivor — its records are *lost*, as in any
+    /// non-replicated cache, and will be re-derived on future misses.
+    /// Returns the number of records lost.
+    ///
+    /// If the failed node was the last one, a replacement is allocated
+    /// (blocking on its boot) so the cache stays operational.
+    pub fn fail_node(&mut self, id: NodeId) -> FailureReport {
+        debug_assert!(
+            self.fleet.node_at(id).is_some(),
+            "cannot fail inactive node {id}"
+        );
+        // Failing an already-dead node is a no-op (debug builds flag the
+        // caller bug via the assertion above).
+        let Some(resident) = self.fleet.node_at(id).map(CacheNode::record_count) else {
+            return FailureReport::default();
+        };
+        // The failed node's arcs, captured before the ring changes.
+        let failed_spans: Vec<(u64, u64)> = self
+            .planner
+            .ring()
+            .buckets_of_node(&id)
+            .into_iter()
+            .flat_map(|b| self.planner.spans_of_bucket(b).unwrap_or_default())
+            .collect();
+        let _ = self.fleet.release(id);
+        self.fleet.obs.emit(ObsEvent::NodeDealloc {
+            at_us: self.fleet.clock.now_us(),
+            node: id.0,
+        });
+        let survivor = match self.fleet.nodes().min_by_key(|(_, n)| n.used_bytes()) {
+            Some((nid, _)) => nid,
+            None => self.fleet.alloc_node(),
+        };
+        let reassigned = self.planner.reassign(id, survivor);
+        debug_assert!(reassigned.is_ok(), "{reassigned:?}");
+
+        // Replica recovery (§VI "data replication"): survivors may hold
+        // best-effort copies of the dead arcs; promote them to primaries on
+        // the new owner.
+        let mut recovered = 0usize;
+        if self.fleet.cfg.replicate {
+            let holders: Vec<NodeId> = self.fleet.nodes().map(|(nid, _)| nid).collect();
+            for holder in holders {
+                for &(lo, hi) in &failed_spans {
+                    let copies = self
+                        .fleet
+                        .node_at_mut(holder)
+                        .map(|n| n.take_replicas_in_range(lo, hi));
+                    for (k, rec) in copies.unwrap_or_default() {
+                        let admits = self
+                            .fleet
+                            .node_at(survivor)
+                            .is_some_and(|n| n.get(k).is_none() && n.fits(rec.byte_size() as u64));
+                        if admits {
+                            self.fleet
+                                .charge_transfer(rec.len() as u64 + RECORD_WIRE_OVERHEAD);
+                            if let Some(n) = self.fleet.node_at_mut(survivor) {
+                                n.insert(k, rec);
+                                recovered += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.validate();
+        FailureReport {
+            records_lost: resident.saturating_sub(recovered),
+            records_recovered: recovered,
+        }
+    }
+
+    // ----------------------------------------------------------- validation
+
+    /// Exhaustively check cross-structure invariants, returning the first
+    /// violation as a typed [`CacheAuditError`] instead of panicking:
+    ///
+    /// * the planner's audit: a sound ring over exactly the active nodes,
+    ///   and a consistent window ([`Planner::audit`]);
+    /// * every resident record hashes to the node storing it, so each key
+    ///   is owned by exactly one node;
+    /// * per-node byte accounting matches the sum of resident record sizes
+    ///   and stays within capacity.
+    pub fn check_invariants(&self) -> Result<(), CacheAuditError> {
+        let active: Vec<NodeId> = self.fleet.nodes().map(|(id, _)| id).collect();
+        self.planner
+            .audit(&active)
+            .map_err(CacheAuditError::Fleet)?;
+        for (id, node) in self.fleet.nodes() {
+            let counted: u64 = node.iter().map(|(_, r)| r.byte_size() as u64).sum();
+            if counted != node.used_bytes() {
+                return Err(CacheAuditError::ByteAccountingMismatch {
+                    node: id,
+                    counted,
+                    recorded: node.used_bytes(),
+                });
+            }
+            if node.used_bytes() > node.capacity_bytes() {
+                return Err(CacheAuditError::NodeOverCapacity {
+                    node: id,
+                    used: node.used_bytes(),
+                    capacity: node.capacity_bytes(),
+                });
+            }
+            for (&key, _) in node.iter() {
+                let owner = self.planner.owner(key).ok();
+                if owner != Some(id) {
+                    return Err(CacheAuditError::MisplacedKey {
+                        key,
+                        resident_on: id,
+                        owner,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Panicking wrapper over [`ElasticCache::check_invariants`], used by
+    /// the test suites and by the debug-build hooks that run after every
+    /// mutating operation (insert, time step, failure).
+    /// Additionally validates each node's B+-tree index.
+    pub fn validate(&self) {
+        for (_, node) in self.fleet.nodes() {
+            node.validate();
+        }
+        if let Err(e) = self.check_invariants() {
+            panic!("cache invariant violated: {e}"); // xtask: allow(no-panic) — validate() is the panicking audit wrapper
+        }
+    }
+}
+
+impl SimFleet {
+    /// Iterate over `(id, node)` for every active node.
+    fn nodes(&self) -> impl Iterator<Item = (NodeId, &CacheNode)> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, n)| n.as_ref().map(|n| (NodeId(i as u32), n)))
     }
 
     /// The node `id`, or `None` if it is inactive (failed or merged away)
@@ -319,384 +701,38 @@ impl ElasticCache {
         self.nodes.get_mut(id.0 as usize).and_then(Option::as_mut)
     }
 
-    /// Fallible dereference for typed-error paths: the ring resolving to an
-    /// inactive node is a coordinator bug, reported as
+    /// Fallible dereference for the planner's paths: the ring resolving
+    /// to an inactive node is a coordinator bug, reported as
     /// [`CacheError::Internal`] rather than a panic.
-    fn try_node(&self, id: NodeId) -> Result<&CacheNode, CacheError> {
-        self.node_at(id).ok_or(CacheError::Internal {
-            what: "ring references an inactive node",
-        })
-    }
-
     fn try_node_mut(&mut self, id: NodeId) -> Result<&mut CacheNode, CacheError> {
         self.node_at_mut(id).ok_or(CacheError::Internal {
             what: "ring references an inactive node",
         })
     }
 
-    // -------------------------------------------------------------- queries
-
-    /// Full cached-service query: look up `key`; on a miss run `miss` (the
-    /// backing service), charge its execution time, and cache the result.
-    ///
-    /// `uncached_us` is what the service would cost without the cache (the
-    /// baseline the speedup figures divide by); for a miss it is also the
-    /// time actually charged for the service execution.
-    pub fn query(&mut self, key: u64, uncached_us: u64, miss: impl FnOnce() -> Record) -> Record {
-        let t0 = self.clock.now_us();
-        self.metrics.baseline_us += uncached_us;
-        let found = self.lookup_inner(key);
-        if let Some(rec) = found {
-            let dt = self.clock.now_us() - t0;
-            self.metrics.observed_us += dt;
-            self.obs.record("cache_query_us:hit", dt);
-            return rec;
-        }
-        // Memory miss: the persistent overflow tier (if any) may still
-        // hold an evicted copy — a tier fetch beats re-running the 23 s
-        // service by orders of magnitude (§IV-D trade-off).
-        if let Some(tier) = &mut self.tier {
-            let (found, dur_us) = tier.get(self.clock.now_us(), key);
-            self.clock.advance_us(dur_us);
-            if let Some(bytes) = found {
-                let rec = Record::from_bytes(bytes);
-                self.metrics.tier_hits += 1;
-                match self.insert(key, rec.clone()) {
-                    Ok(()) | Err(CacheError::RecordTooLarge { .. }) => {}
-                    // A failed re-admission must not kill the query path;
-                    // the record is served uncached and the fault counted.
-                    Err(_) => {
-                        self.metrics.insert_errors += 1;
-                        self.obs.emit(ObsEvent::InsertError {
-                            at_us: self.clock.now_us(),
-                            key,
-                        });
-                    }
-                }
-                let dt = self.clock.now_us() - t0;
-                self.metrics.observed_us += dt;
-                self.obs.record("cache_query_us:tier", dt);
-                return rec;
-            }
-        }
-        // Execute the service.
-        let rec = miss();
-        self.clock.advance_us(uncached_us);
-        self.metrics.service_us += uncached_us;
-        match self.insert(key, rec.clone()) {
-            Ok(()) => {}
-            // A record bigger than a node can never be cached; serve it
-            // uncached rather than dying. Any other failure is a coordinator
-            // fault — likewise served uncached, and counted so it shows up.
-            Err(CacheError::RecordTooLarge { .. }) => {}
-            Err(_) => {
-                self.metrics.insert_errors += 1;
-                self.obs.emit(ObsEvent::InsertError {
-                    at_us: self.clock.now_us(),
-                    key,
-                });
-            }
-        }
-        let dt = self.clock.now_us() - t0;
-        self.metrics.observed_us += dt;
-        self.obs.record("cache_query_us:miss", dt);
-        rec
+    /// Charge one node-to-node transfer of `wire` bytes (`T_net`).
+    fn charge_transfer(&self, wire: u64) {
+        self.clock.advance_us(self.cfg.net.t_net_us(wire));
     }
 
-    /// Look up `key`, charging the lookup path and recording hit/miss.
-    pub fn lookup(&mut self, key: u64) -> Option<Record> {
-        let t0 = self.clock.now_us();
-        let r = self.lookup_inner(key);
-        self.metrics.observed_us += self.clock.now_us() - t0;
-        r
-    }
-
-    fn lookup_inner(&mut self, key: u64) -> Option<Record> {
-        self.metrics.queries += 1;
-        self.slice_queries += 1;
-        if let Some(w) = &mut self.window {
-            w.note_query(key);
-        }
-        // The ring always has a bucket by construction; an empty ring or a
-        // dangling owner degrades to a miss instead of tearing down the
-        // whole cache.
-        let rec = self
-            .ring
-            .node_for_key(key)
-            .copied()
-            .and_then(|nid| self.node_at(nid))
-            .and_then(|n| n.get(key).cloned());
-        self.clock.advance_us(self.cfg.lookup_overhead_us);
-        match rec {
-            Some(rec) => {
-                self.clock
-                    .advance_us(self.net.rtt_us(LOOKUP_REQ_BYTES, rec.len() as u64));
-                self.metrics.hits += 1;
-                Some(rec)
-            }
-            None => {
-                self.clock
-                    .advance_us(self.net.rtt_us(LOOKUP_REQ_BYTES, MISS_RESP_BYTES));
-                self.metrics.misses += 1;
-                None
-            }
+    /// Remove `key`'s replicas everywhere: replica targets drift across
+    /// splits, so any node may hold one (the fleet is small).
+    fn drop_replicas(&mut self, key: u64) {
+        for node in self.nodes.iter_mut().flatten() {
+            node.remove_replica(key);
         }
     }
 
-    // ------------------------------------------------------- GBA insertion
-
-    /// Algorithm 1: GBA-Insert. Inserts `record` under `key`, splitting
-    /// buckets and (as a last resort) allocating cloud nodes until the
-    /// owning node can hold it.
-    pub fn insert(&mut self, key: u64, record: Record) -> Result<(), CacheError> {
-        // Capacity decisions charge the record's true slot footprint; the
-        // wire transfer below is charged its raw payload length.
-        let size = record.byte_size() as u64;
-        if size > self.cfg.node_capacity_bytes {
-            return Err(CacheError::RecordTooLarge {
-                size,
-                capacity: self.cfg.node_capacity_bytes,
-            });
-        }
-        if key >= self.ring.range() {
-            return Err(CacheError::KeyOutOfRange {
-                key,
-                r: self.ring.range(),
-            });
-        }
-        // Charge the put transfer once (the record travels to whichever
-        // node finally stores it).
-        self.clock.advance_us(
-            self.net
-                .transfer_us(record.len() as u64 + RECORD_WIRE_OVERHEAD),
-        );
-        for _ in 0..MAX_SPLIT_RETRIES {
-            let nid = *self.ring.node_for_key(key).ok_or(CacheError::Internal {
-                what: "ring has no buckets",
-            })?;
-            // A replacement is charged only for its byte *growth*: an
-            // existing record's bytes are freed by the overwrite, so the
-            // overflow test applies to `size - old_size`. A growing
-            // replacement that no longer fits triggers a split like any
-            // other overflow.
-            let node = self.try_node(nid)?;
-            let old_size = node.get(key).map(|r| r.byte_size() as u64).unwrap_or(0);
-            if node.fits(size.saturating_sub(old_size)) {
-                self.try_node_mut(nid)?.insert(key, record.clone());
-                self.place_replica(key, &record);
-                #[cfg(debug_assertions)]
-                self.validate();
-                return Ok(());
-            }
-            // Overflow: split the fullest bucket referencing this node.
-            self.split_node(nid)?;
-        }
-        Err(CacheError::SplitLoopExceeded)
-    }
-
-    /// The node holding best-effort replicas for `key`: the next *distinct*
-    /// node along the bucket line after the primary's bucket. `None` when
-    /// the fleet has a single node.
-    fn replica_target(&self, key: u64) -> Option<NodeId> {
-        let primary_bucket = self.ring.bucket_for_key(key)?;
-        let primary = *self.ring.node_of_bucket(primary_bucket)?;
-        let mut bucket = primary_bucket;
-        for _ in 0..self.ring.len() {
-            bucket = self.ring.successor(bucket).ok()?;
-            let node = *self.ring.node_of_bucket(bucket)?;
-            if node != primary {
-                return Some(node);
-            }
-        }
-        None
-    }
-
-    /// Best-effort replica placement after a primary insertion (no-op when
-    /// replication is disabled or no distinct peer exists).
-    fn place_replica(&mut self, key: u64, record: &Record) {
-        if !self.cfg.replicate {
-            return;
-        }
-        let Some(target) = self.replica_target(key) else {
-            return;
-        };
-        // The target drifts as the ring splits and merges; copies placed at
-        // earlier targets would otherwise linger and could be promoted over
-        // a fresher primary on failure recovery. Sweep every node first —
-        // including the target, so a replica that then fails to fit leaves
-        // no copy rather than a stale one. The fleet is small.
-        let active: Vec<NodeId> = self.nodes().map(|(id, _)| id).collect();
-        for other in active {
-            if let Some(n) = self.node_at_mut(other) {
-                n.remove_replica(key);
-            }
-        }
-        let wire = record.len() as u64 + RECORD_WIRE_OVERHEAD;
-        self.clock.advance_us(self.net.t_net_us(wire));
-        if let Some(node) = self.node_at_mut(target) {
-            node.insert_replica(key, record.clone());
-        }
-    }
-
-    /// Algorithm 1 lines 8–15: find `b_max`, compute `k^µ`, sweep-migrate
-    /// the lower half and thread the new bucket.
-    fn split_node(&mut self, nid: NodeId) -> Result<(), CacheError> {
-        // Fullest bucket referencing nid, by resident bytes in its arc.
-        let buckets = self.ring.buckets_of_node(&nid);
-        if buckets.is_empty() {
-            return Err(CacheError::Internal {
-                what: "active node owns no bucket",
-            });
-        }
-        let mut b_max = buckets[0];
-        let mut best_bytes = 0u64;
-        for &b in &buckets {
-            let spans = self.spans_of_bucket(b)?;
-            let node = self.try_node(nid)?;
-            let bytes: u64 = spans
-                .iter()
-                .map(|&(lo, hi)| node.bytes_in_range(lo, hi))
-                .sum();
-            if bytes >= best_bytes {
-                best_bytes = bytes;
-                b_max = b;
-            }
-        }
-
-        // Keys of b_max's arc in circular order (from min(b_max)).
-        let spans = self.spans_of_bucket(b_max)?;
-        let mut keys: Vec<u64> = Vec::new();
-        {
-            let node = self.try_node(nid)?;
-            for &(lo, hi) in &spans {
-                keys.extend(node.keys_in_range(lo, hi));
-            }
-        }
-        if keys.len() < 2 {
-            // The fullest bucket cannot be median-split (at most one key in
-            // its arc — possible after merges fragment the line into many
-            // small buckets). Relocate the whole bucket to another node
-            // instead: same sweep, but the existing bucket is re-pointed
-            // rather than a new one created.
-            if buckets.len() < 2 {
-                // A lone bucket with <= 1 key that still overflows the node
-                // means a single record nearly fills capacity — hopeless.
-                return Err(CacheError::CannotSplit { bucket: b_max });
-            }
-            let n_dest = self.sweep_migrate(nid, &spans)?;
-            self.ring
-                .remap_bucket(b_max, n_dest)
-                .map_err(|_| CacheError::Internal {
-                    what: "bucket vanished while relocating it",
-                })?;
-            self.metrics.splits += 1;
-            self.obs.emit(ObsEvent::BucketSplit {
-                at_us: self.clock.now_us(),
-                node: nid.0,
-                new_node: n_dest.0,
-                bucket: b_max,
-            });
-            #[cfg(debug_assertions)]
-            self.validate();
-            return Ok(());
-        }
-
-        // k^µ: the median key; back off if its line position collides with
-        // an existing bucket (the arc's own endpoint).
-        let mut mu_idx = keys.len() / 2;
-        while mu_idx > 0 && self.ring.node_of_bucket(keys[mu_idx]).is_some() {
-            mu_idx -= 1;
-        }
-        let k_mu = keys[mu_idx];
-        if self.ring.node_of_bucket(k_mu).is_some() {
-            return Err(CacheError::CannotSplit { bucket: b_max });
-        }
-
-        // Migration ranges: circular spans from min(b_max) through k^µ.
-        let move_spans = truncate_spans_at(&spans, k_mu).ok_or(CacheError::Internal {
-            what: "median key not inside its own bucket's spans",
-        })?;
-        let n_dest = self.sweep_migrate(nid, &move_spans)?;
-
-        // Update B and NodeMap: new bucket at h'(k^µ) references n_dest.
-        // Collision with an existing bucket was ruled out when k^µ was
-        // chosen above.
-        self.ring
-            .insert_bucket(k_mu, n_dest)
-            .map_err(|_| CacheError::Internal {
-                what: "split bucket position already occupied",
-            })?;
-        self.metrics.splits += 1;
-        self.obs.emit(ObsEvent::BucketSplit {
+    /// Add a node on `instance` to the table.
+    fn push_node(&mut self, instance: ecc_cloudsim::InstanceId) -> NodeId {
+        let node = CacheNode::new(instance, self.cfg.node_capacity_bytes, self.cfg.btree_order);
+        self.nodes.push(Some(node));
+        let id = NodeId((self.nodes.len() - 1) as u32);
+        self.obs.emit(ObsEvent::NodeAlloc {
             at_us: self.clock.now_us(),
-            node: nid.0,
-            new_node: n_dest.0,
-            bucket: k_mu,
+            node: id.0,
         });
-        #[cfg(debug_assertions)]
-        self.validate();
-        Ok(())
-    }
-
-    /// Algorithm 2: move all records of `src` in `spans` to the least-
-    /// loaded node that can take them, or a newly allocated one. Returns
-    /// the destination. Charges `T_net` per record plus any boot latency.
-    fn sweep_migrate(&mut self, src: NodeId, spans: &[(u64, u64)]) -> Result<NodeId, CacheError> {
-        let total_bytes: u64 = {
-            let node = self.try_node(src)?;
-            spans
-                .iter()
-                .map(|&(lo, hi)| node.bytes_in_range(lo, hi))
-                .sum()
-        };
-
-        // Least-loaded node other than the source, if the sweep fits there.
-        let reuse = self
-            .nodes()
-            .filter(|(id, _)| *id != src)
-            .min_by_key(|(_, n)| n.used_bytes())
-            .and_then(|(id, n)| (n.used_bytes() + total_bytes <= n.capacity_bytes()).then_some(id));
-        let (dest, allocated) = match reuse {
-            Some(d) => (d, false),
-            None => (self.alloc_node(), true),
-        };
-
-        let start_us = self.clock.now_us();
-        let mut moved_records = 0u64;
-        let mut moved_bytes = 0u64;
-        for &(lo, hi) in spans {
-            let batch = self.try_node_mut(src)?.drain_range(lo, hi);
-            for (k, rec) in batch {
-                let wire = rec.len() as u64 + RECORD_WIRE_OVERHEAD;
-                self.clock.advance_us(self.net.t_net_us(wire));
-                moved_records += 1;
-                moved_bytes += rec.len() as u64;
-                self.try_node_mut(dest)?.insert(k, rec);
-            }
-        }
-        let duration_us = self.clock.now_us() - start_us;
-        self.metrics.migration_us += duration_us;
-        if allocated {
-            self.metrics.splits_with_allocation += 1;
-        }
-        self.cloud.record(Event::Migration {
-            at_us: start_us,
-            records: moved_records,
-            bytes: moved_bytes,
-            duration_us,
-            allocated_node: allocated,
-        });
-        self.obs.record("migration_sweep_us", duration_us);
-        self.obs.emit(ObsEvent::SweepMigrate {
-            at_us: start_us,
-            src: src.0,
-            dest: dest.0,
-            records: moved_records,
-            bytes: moved_bytes,
-            duration_us,
-            allocated,
-        });
-        Ok(dest)
+        id
     }
 
     /// Allocate a fresh cloud node (the last-resort branch of Algorithm 2,
@@ -718,486 +754,125 @@ impl ElasticCache {
                 receipt.id
             }
         };
-        let node = CacheNode::new(instance, self.cfg.node_capacity_bytes, self.cfg.btree_order);
-        self.nodes.push(Some(node));
-        let id = NodeId((self.nodes.len() - 1) as u32);
-        self.obs.emit(ObsEvent::NodeAlloc {
-            at_us: self.clock.now_us(),
-            node: id.0,
-        });
-        id
+        self.push_node(instance)
+    }
+}
+
+impl NodeStore<NodeId> for SimFleet {
+    type Value = Record;
+    type Error = CacheError;
+
+    fn obs(&self) -> &ObsRegistry {
+        &self.obs
     }
 
-    /// Allocate a node whose boot proceeds in the (virtual) background —
-    /// used by proactive splitting, where the allocation is by construction
-    /// ahead of need. Neither the clock nor `alloc_us` (boot time blocked
-    /// on the query path) advances.
-    fn alloc_node_async(&mut self) -> NodeId {
-        let receipt = self.cloud.allocate(self.cfg.instance_type.clone());
-        let node = CacheNode::new(
-            receipt.id,
-            self.cfg.node_capacity_bytes,
-            self.cfg.btree_order,
-        );
-        self.nodes.push(Some(node));
-        let id = NodeId((self.nodes.len() - 1) as u32);
-        self.obs.emit(ObsEvent::NodeAlloc {
-            at_us: self.clock.now_us(),
-            node: id.0,
-        });
-        id
+    fn loads(&mut self) -> Result<Vec<(NodeId, u64)>, CacheError> {
+        Ok(self.nodes().map(|(id, n)| (id, n.used_bytes())).collect())
     }
 
-    /// Circular spans of the arc owned by bucket `b`, starting at
-    /// `min(b)` — i.e. in sweep order.
-    fn spans_of_bucket(&self, b: u64) -> Result<Vec<(u64, u64)>, CacheError> {
-        let pred = self.ring.predecessor(b).map_err(|_| CacheError::Internal {
-            what: "bucket vanished while computing its arc",
-        })?;
-        Ok(circular_spans(pred, b, self.ring.range()))
+    fn range_bytes(&mut self, node: NodeId, lo: u64, hi: u64) -> Result<u64, CacheError> {
+        Ok(self.try_node_mut(node)?.bytes_in_range(lo, hi))
     }
 
-    // ------------------------------------------------- eviction/contraction
-
-    /// Close the current time slice (one experiment time step). Runs
-    /// decay-scored eviction on the expired slice (if the window is full)
-    /// and, every `ε` expirations, attempts contraction.
-    pub fn end_time_step(&mut self) {
-        self.time_steps += 1;
-        let slice_queries = std::mem::take(&mut self.slice_queries);
-
-        // Proactive splitting (§VI prefetching): relieve nodes close to
-        // overflow off the query critical path. Each node is driven all the
-        // way below the threshold in this one pass — a single bucket split
-        // may shed only a small fraction of a node's bytes, and leaving the
-        // node above threshold would re-trigger (and re-pay for) the scan
-        // every step.
-        if let Some(fill) = self.cfg.proactive_split_fill {
-            let near_full: Vec<NodeId> = self
-                .nodes()
-                .filter(|(_, n)| n.fill() > fill)
-                .map(|(id, _)| id)
-                .collect();
-            // Hysteresis: trigger above `fill`, relieve down to 90 % of it,
-            // so a relieved node does not re-cross the trigger (and re-pay
-            // the scan) a few insertions later.
-            let relieve_to = fill * 0.9;
-            for nid in near_full {
-                for _ in 0..MAX_SPLIT_RETRIES {
-                    match self.node_at(nid) {
-                        Some(n) if n.fill() > relieve_to => {}
-                        _ => break,
-                    }
-                    // If every peer is itself near the threshold, shuffling
-                    // records around would only push the problem to the next
-                    // step (migration ping-pong). Pre-allocate a fresh node
-                    // instead — this *is* the prefetch: the boot proceeds in
-                    // the background, and the split lands on the empty node.
-                    let peer_headroom = self
-                        .nodes()
-                        .filter(|(id, _)| *id != nid)
-                        .map(|(_, n)| n.fill())
-                        .fold(f64::INFINITY, f64::min);
-                    if peer_headroom >= relieve_to {
-                        self.alloc_node_async();
-                    }
-                    // Best effort — an unsplittable node waits for GBA.
-                    if self.split_node(nid).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-
-        let Some(window) = &mut self.window else {
-            return;
-        };
-        let mut expired_slices = Vec::new();
-        if let Some(expired) = window.end_slice() {
-            expired_slices.push(expired);
-        }
-
-        // Dynamic window sizing (§VI): let the controller react to the
-        // completed slice's rate; shrinking expires further slices now.
-        if let Some(controller) = &mut self.controller {
-            let current = window.slices();
-            let next = controller.observe(slice_queries, current);
-            if next != current {
-                expired_slices.extend(window.set_slices(next));
-            }
-        }
-
-        if expired_slices.is_empty() {
-            return;
-        }
-        self.expirations += 1;
-        // Score the expired slices against the window that remains, then
-        // drop the window borrow before mutating nodes.
-        let victims: Vec<u64> = match &self.window {
-            Some(window) => expired_slices
-                .iter()
-                .flat_map(|expired| window.victims(expired))
-                .collect(),
-            None => Vec::new(),
-        };
-        self.obs.emit(ObsEvent::SliceExpire {
-            at_us: self.clock.now_us(),
-            expiration: self.expirations,
-            victims: victims.len() as u64,
-        });
-        // Keys actually removed, grouped per node, for the EvictBatch
-        // events the simtest differential oracle checks bit-exactly.
-        let mut evicted_by_node: std::collections::BTreeMap<u32, Vec<u64>> =
-            std::collections::BTreeMap::new();
-        for key in victims {
-            let Some(nid) = self.ring.node_for_key(key).copied() else {
-                continue;
-            };
-            let removed = self.node_at_mut(nid).and_then(|n| n.remove(key));
-            if let Some(rec) = removed {
-                self.metrics.evictions += 1;
-                evicted_by_node.entry(nid.0).or_default().push(key);
-                // Write-behind to the overflow tier (off the query
-                // path; the write proceeds between time steps).
-                if let Some(tier) = &mut self.tier {
-                    let dur = tier.put(self.clock.now_us(), key, rec.bytes());
-                    self.clock.advance_us(dur);
-                    self.metrics.tier_writes += 1;
-                }
-            }
-            if self.cfg.replicate {
-                // Replicas may have drifted across splits; sweep all
-                // nodes (the fleet is small).
-                let active: Vec<NodeId> = self.nodes().map(|(id, _)| id).collect();
-                for other in active {
-                    if let Some(n) = self.node_at_mut(other) {
-                        n.remove_replica(key);
-                    }
-                }
-            }
-        }
-        let evict_at_us = self.clock.now_us();
-        for (node, keys) in evicted_by_node {
-            self.obs.emit(ObsEvent::EvictBatch {
-                at_us: evict_at_us,
-                node,
-                keys,
-            });
-        }
-        if self
-            .expirations
-            .is_multiple_of(self.cfg.contraction_epsilon)
-        {
-            self.try_contract();
-        }
-        #[cfg(debug_assertions)]
-        self.validate();
+    fn keys(&mut self, node: NodeId, lo: u64, hi: u64) -> Result<Vec<u64>, CacheError> {
+        Ok(self.try_node_mut(node)?.keys_in_range(lo, hi))
     }
 
-    /// Merge the two least-loaded nodes if the coalesced data fits within
-    /// `merge_fill_threshold` of one node's capacity; release the drained
-    /// instance.
-    fn try_contract(&mut self) {
-        if self.node_count() <= self.cfg.min_nodes {
-            return;
+    /// A replacement is charged only for its byte *growth*: the existing
+    /// record's bytes are freed by the overwrite. A growing replacement
+    /// that no longer fits overflows like any other insertion.
+    fn put(&mut self, node: NodeId, key: u64, record: &Record) -> Result<Put, CacheError> {
+        let n = self.try_node_mut(node)?;
+        let old = n.get(key).map_or(0, |r| r.byte_size() as u64);
+        if !n.fits((record.byte_size() as u64).saturating_sub(old)) {
+            return Ok(Put::Overflow);
         }
-        // Two least-loaded nodes: `a` (least) is drained into `b`.
-        let mut active: Vec<(NodeId, u64)> =
-            self.nodes().map(|(id, n)| (id, n.used_bytes())).collect();
-        active.sort_by_key(|&(_, used)| used);
-        let (a, a_used) = active[0];
-        let (b, b_used) = active[1];
-        let limit = (self.cfg.merge_fill_threshold * self.cfg.node_capacity_bytes as f64) as u64;
-        if a_used + b_used > limit {
-            return;
-        }
+        n.insert(key, record.clone());
+        Ok(Put::Stored)
+    }
 
-        let start_us = self.clock.now_us();
-        let records = match self.node_at_mut(a) {
-            Some(n) => n.drain_all(),
-            None => return,
-        };
-        let moved = records.len() as u64;
-        for (k, rec) in records {
-            let wire = rec.len() as u64 + RECORD_WIRE_OVERHEAD;
-            self.clock.advance_us(self.net.t_net_us(wire));
-            if let Some(n) = self.node_at_mut(b) {
-                n.insert(k, rec);
+    /// The destructive linked-leaf sweep of each span, charging `T_net`
+    /// per record on the virtual clock.
+    fn migrate(
+        &mut self,
+        src: NodeId,
+        dest: NodeId,
+        spans: &[(u64, u64)],
+        why: Move,
+    ) -> Result<(u64, u64), CacheError> {
+        let at_us = self.clock.now_us();
+        let (mut records, mut bytes) = (0, 0);
+        for &(lo, hi) in spans {
+            for (k, rec) in self.try_node_mut(src)?.drain_range(lo, hi) {
+                self.charge_transfer(rec.len() as u64 + RECORD_WIRE_OVERHEAD);
+                records += 1;
+                bytes += rec.len() as u64;
+                self.try_node_mut(dest)?.insert(k, rec);
             }
         }
-        for bucket in self.ring.buckets_of_node(&a) {
-            let remapped = self.ring.remap_bucket(bucket, b);
-            debug_assert!(remapped.is_ok(), "bucket listed by buckets_of_node exists");
-        }
-        // Coalesce: a bucket whose successor belongs to the same node is
-        // redundant — removing it hands its arc to that successor with no
-        // data movement. This keeps the line from fragmenting into
-        // unsplittable singleton buckets across grow/shrink cycles.
-        self.coalesce_buckets(b);
-        let duration_us = self.clock.now_us() - start_us;
-        self.cloud.record(Event::Merge {
-            at_us: start_us,
-            records: moved,
-            duration_us,
-        });
+        let duration_us = self.clock.now_us() - at_us;
         self.obs.record("migration_sweep_us", duration_us);
-        self.obs.emit(ObsEvent::NodeMerge {
-            at_us: start_us,
-            src: a.0,
-            dest: b.0,
-            records: moved,
-        });
-        if let Some(n) = self.node_at(a) {
-            let instance = n.instance;
-            self.cloud.deallocate(instance);
-        }
-        self.nodes[a.0 as usize] = None;
-        self.obs.emit(ObsEvent::NodeDealloc {
-            at_us: self.clock.now_us(),
-            node: a.0,
-        });
-        self.metrics.merges += 1;
-        #[cfg(debug_assertions)]
-        self.validate();
-    }
-
-    /// The warm standby pool (empty unless `warm_pool > 0`).
-    pub fn warm_pool(&self) -> &WarmPool {
-        &self.warm_pool
-    }
-
-    /// The persistent overflow tier, if configured.
-    pub fn tier(&self) -> Option<&PersistentStore> {
-        self.tier.as_ref()
-    }
-
-    /// Cost of the overflow tier so far in micro-dollars (0 without one).
-    pub fn tier_cost_microdollars(&self) -> u64 {
-        self.tier
-            .as_ref()
-            .map(|t| t.cost_microdollars(self.clock.now_us()))
-            .unwrap_or(0)
-    }
-
-    /// Simulate the abrupt failure of a cache node (instance crash or
-    /// unplanned termination). The node's buckets are re-pointed at the
-    /// least-loaded survivor — its records are *lost*, as in any
-    /// non-replicated cache, and will be re-derived on future misses.
-    /// Returns the number of records lost.
-    ///
-    /// If the failed node was the last one, a replacement is allocated
-    /// (blocking on its boot) so the cache stays operational.
-    pub fn fail_node(&mut self, id: NodeId) -> FailureReport {
-        debug_assert!(self.node_at(id).is_some(), "cannot fail inactive node {id}");
-        let (resident, instance) = match self.node_at(id) {
-            Some(n) => (n.record_count(), n.instance),
-            // Failing an already-dead node is a no-op (debug builds flag
-            // the caller bug via the assertion above).
-            None => {
-                return FailureReport {
-                    records_lost: 0,
-                    records_recovered: 0,
+        self.cloud.record(match why {
+            Move::Split { allocated } => {
+                self.metrics.migration_us += duration_us;
+                self.metrics.splits_with_allocation += u64::from(allocated);
+                Event::Migration {
+                    at_us,
+                    records,
+                    bytes,
+                    duration_us,
+                    allocated_node: allocated,
                 }
             }
-        };
-        // The failed node's arcs, captured before the ring changes.
-        let failed_spans: Vec<(u64, u64)> = self
-            .ring
-            .buckets_of_node(&id)
-            .into_iter()
-            .flat_map(|b| self.spans_of_bucket(b).unwrap_or_default())
-            .collect();
-        self.cloud.deallocate(instance);
-        self.nodes[id.0 as usize] = None;
-        self.obs.emit(ObsEvent::NodeDealloc {
-            at_us: self.clock.now_us(),
-            node: id.0,
+            Move::Merge => Event::Merge {
+                at_us,
+                records,
+                duration_us,
+            },
         });
+        Ok((records, bytes))
+    }
 
-        let survivor = match self
-            .nodes()
-            .min_by_key(|(_, n)| n.used_bytes())
-            .map(|(nid, _)| nid)
-        {
-            Some(nid) => nid,
-            None => self.alloc_node(),
-        };
-        for bucket in self.ring.buckets_of_node(&id) {
-            let remapped = self.ring.remap_bucket(bucket, survivor);
-            debug_assert!(remapped.is_ok(), "bucket listed by buckets_of_node exists");
-        }
-        self.coalesce_buckets(survivor);
-
-        // Replica recovery (§VI "data replication"): survivors may hold
-        // best-effort copies of the dead arcs; promote them to primaries on
-        // the new owner.
-        let mut recovered = 0usize;
-        if self.cfg.replicate {
-            let holders: Vec<NodeId> = self.nodes().map(|(nid, _)| nid).collect();
-            for holder in holders {
-                for &(lo, hi) in &failed_spans {
-                    let copies = match self.node_at_mut(holder) {
-                        Some(n) => n.take_replicas_in_range(lo, hi),
-                        None => continue,
-                    };
-                    for (k, rec) in copies {
-                        let admits = self
-                            .node_at(survivor)
-                            .is_some_and(|n| n.get(k).is_none() && n.fits(rec.byte_size() as u64));
-                        if admits {
-                            let wire = rec.len() as u64 + RECORD_WIRE_OVERHEAD;
-                            self.clock.advance_us(self.net.t_net_us(wire));
-                            if let Some(n) = self.node_at_mut(survivor) {
-                                n.insert(k, rec);
-                                recovered += 1;
-                            }
-                        }
+    /// Evicted records are written behind to the overflow tier (off the
+    /// query path; the write proceeds between time steps), and their
+    /// replicas dropped.
+    fn evict_many(
+        &mut self,
+        batches: &BTreeMap<NodeId, Vec<u64>>,
+    ) -> Result<Vec<(NodeId, Vec<u64>)>, CacheError> {
+        let mut out = Vec::with_capacity(batches.len());
+        for (&nid, keys) in batches {
+            let mut removed = Vec::new();
+            for &key in keys {
+                if let Some(rec) = self.node_at_mut(nid).and_then(|n| n.remove(key)) {
+                    self.metrics.evictions += 1;
+                    removed.push(key);
+                    if let Some(tier) = &mut self.tier {
+                        let dur = tier.put(self.clock.now_us(), key, rec.bytes());
+                        self.clock.advance_us(dur);
+                        self.metrics.tier_writes += 1;
                     }
                 }
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.validate();
-        FailureReport {
-            records_lost: resident.saturating_sub(recovered),
-            records_recovered: recovered,
-        }
-    }
-
-    /// Remove buckets of `nid` whose ring successor also maps to `nid`
-    /// (their arcs merge with no data movement).
-    fn coalesce_buckets(&mut self, nid: NodeId) {
-        for b in self.ring.buckets_of_node(&nid) {
-            if self.ring.len() <= 1 {
-                break;
-            }
-            let Ok(succ) = self.ring.successor(b) else {
-                break;
-            };
-            if succ != b && self.ring.node_of_bucket(succ) == Some(&nid) {
-                let removed = self.ring.remove_bucket(b);
-                debug_assert!(removed.is_ok(), "bucket listed by buckets_of_node exists");
-            }
-        }
-    }
-
-    // ----------------------------------------------------------- validation
-
-    /// Exhaustively check cross-structure invariants, returning the first
-    /// violation as a typed [`CacheAuditError`] instead of panicking:
-    ///
-    /// * the ring's bucket list is itself sound (delegated to
-    ///   [`ecc_chash::HashRing::check_invariants`]);
-    /// * every resident record hashes to the node storing it, so each key
-    ///   is owned by exactly one node;
-    /// * per-node byte accounting matches the sum of resident record sizes
-    ///   and stays within capacity;
-    /// * the ring references only active nodes, and every active node owns
-    ///   at least one bucket;
-    /// * the sliding window's history and decay table are structurally
-    ///   consistent.
-    pub fn check_invariants(&self) -> Result<(), CacheAuditError> {
-        self.ring
-            .check_invariants()
-            .map_err(CacheAuditError::Ring)?;
-        for (id, node) in self.nodes() {
-            let counted: u64 = node.iter().map(|(_, r)| r.byte_size() as u64).sum();
-            if counted != node.used_bytes() {
-                return Err(CacheAuditError::ByteAccountingMismatch {
-                    node: id,
-                    counted,
-                    recorded: node.used_bytes(),
-                });
-            }
-            if node.used_bytes() > node.capacity_bytes() {
-                return Err(CacheAuditError::NodeOverCapacity {
-                    node: id,
-                    used: node.used_bytes(),
-                    capacity: node.capacity_bytes(),
-                });
-            }
-            for (&key, _) in node.iter() {
-                let owner = self.ring.node_for_key(key).copied();
-                if owner != Some(id) {
-                    return Err(CacheAuditError::MisplacedKey {
-                        key,
-                        resident_on: id,
-                        owner,
-                    });
+                if self.cfg.replicate {
+                    self.drop_replicas(key);
                 }
             }
+            out.push((nid, removed));
         }
-        for (_, &nid) in self.ring.buckets() {
-            if self.node_at(nid).is_none() {
-                return Err(CacheAuditError::DeadNodeReferenced { node: nid });
-            }
-        }
-        // Every active node is referenced by at least one bucket.
-        for (id, _) in self.nodes() {
-            if self.ring.buckets_of_node(&id).is_empty() {
-                return Err(CacheAuditError::NodeWithoutBucket { node: id });
-            }
-        }
-        if let Some(window) = &self.window {
-            window
-                .check_invariants()
-                .map_err(|what| CacheAuditError::Window { what })?;
+        Ok(out)
+    }
+
+    fn alloc(&mut self) -> Result<NodeId, CacheError> {
+        Ok(self.alloc_node())
+    }
+
+    /// Take `node` out of the table and terminate its instance.
+    fn release(&mut self, node: NodeId) -> Result<(), CacheError> {
+        if let Some(n) = self.nodes.get_mut(node.0 as usize).and_then(Option::take) {
+            self.cloud.deallocate(n.instance);
         }
         Ok(())
     }
-
-    /// Panicking wrapper over [`ElasticCache::check_invariants`], used by
-    /// the test suites and by the debug-build hooks that run after every
-    /// mutating operation (insert, split, eviction, merge, failure).
-    /// Additionally validates each node's B+-tree index.
-    pub fn validate(&self) {
-        for (_, node) in self.nodes() {
-            node.validate();
-        }
-        if let Err(e) = self.check_invariants() {
-            panic!("cache invariant violated: {e}"); // xtask: allow(no-panic) — validate() is the panicking audit wrapper
-        }
-    }
-
-    /// Convenience: seconds of virtual time elapsed.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.clock.now_us() as f64 / US_PER_SEC as f64
-    }
-}
-
-/// The positions `(pred, pos]` on a circular line of range `r`, as inclusive
-/// spans in *circular order* starting just after `pred`. `pred == pos`
-/// denotes a single-bucket ring owning the full line.
-fn circular_spans(pred: u64, pos: u64, r: u64) -> Vec<(u64, u64)> {
-    if pred == pos {
-        // Full circle starting after pos.
-        if pos == r - 1 {
-            vec![(0, r - 1)]
-        } else {
-            vec![(pos + 1, r - 1), (0, pos)]
-        }
-    } else if pred < pos {
-        vec![(pred + 1, pos)]
-    } else if pred == r - 1 {
-        vec![(0, pos)]
-    } else {
-        vec![(pred + 1, r - 1), (0, pos)]
-    }
-}
-
-/// Truncate circular spans at `k_mu` (inclusive): the migration range
-/// `[min(b_max), k^µ]` of Algorithm 1. `None` when `k_mu` lies outside the
-/// spans — a coordinator bug the caller reports as [`CacheError::Internal`].
-fn truncate_spans_at(spans: &[(u64, u64)], k_mu: u64) -> Option<Vec<(u64, u64)>> {
-    let mut out = Vec::with_capacity(spans.len());
-    for &(lo, hi) in spans {
-        if (lo..=hi).contains(&k_mu) {
-            out.push((lo, k_mu));
-            return Some(out);
-        }
-        out.push((lo, hi));
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1457,38 +1132,6 @@ mod tests {
     }
 
     #[test]
-    fn circular_spans_cases() {
-        // Contiguous.
-        assert_eq!(circular_spans(10, 20, 100), vec![(11, 20)]);
-        // Wrapping.
-        assert_eq!(circular_spans(90, 5, 100), vec![(91, 99), (0, 5)]);
-        // Wrap with empty upper part.
-        assert_eq!(circular_spans(99, 5, 100), vec![(0, 5)]);
-        // Single bucket at r-1.
-        assert_eq!(circular_spans(99, 99, 100), vec![(0, 99)]);
-        // Single bucket mid-line.
-        assert_eq!(circular_spans(40, 40, 100), vec![(41, 99), (0, 40)]);
-    }
-
-    #[test]
-    fn truncate_spans_at_median() {
-        assert_eq!(truncate_spans_at(&[(11, 20)], 15), Some(vec![(11, 15)]));
-        assert_eq!(
-            truncate_spans_at(&[(91, 99), (0, 5)], 3),
-            Some(vec![(91, 99), (0, 3)])
-        );
-        assert_eq!(
-            truncate_spans_at(&[(91, 99), (0, 5)], 95),
-            Some(vec![(91, 95)])
-        );
-    }
-
-    #[test]
-    fn truncate_requires_containment() {
-        assert_eq!(truncate_spans_at(&[(0, 5)], 10), None);
-    }
-
-    #[test]
     fn audit_passes_on_a_busy_cache() {
         let mut cache = ElasticCache::new(windowed_cfg(8, 3));
         for k in 0..30u64 {
@@ -1516,12 +1159,14 @@ mod tests {
             recorded: 20,
         };
         assert!(accounting.to_string().contains("n2"));
-        assert!(CacheAuditError::Window { what: "probe" }
+        assert!(CacheAuditError::Fleet(FleetAuditError::Window("probe"))
             .to_string()
             .contains("probe"));
-        assert!(CacheAuditError::NodeWithoutBucket { node: NodeId(3) }
-            .to_string()
-            .contains("n3"));
+        assert!(
+            CacheAuditError::Fleet(FleetAuditError::NodeWithoutBucket(NodeId(3)))
+                .to_string()
+                .contains("n3")
+        );
     }
 
     #[test]

@@ -62,6 +62,13 @@ impl fmt::Display for CacheError {
 
 impl std::error::Error for CacheError {}
 
+/// Live-cluster callers surface planner faults as I/O errors.
+impl From<CacheError> for std::io::Error {
+    fn from(e: CacheError) -> Self {
+        std::io::Error::other(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,8 @@
 //!   least-loaded existing node, allocating a new cloud node only as a last
 //!   resort), **Sweep-and-Migrate** (Algorithm 2: linked-leaf range sweep),
 //!   sliding-window **eviction** (decay-scored, §III-B) and conservative
-//!   node **contraction**.
+//!   node **contraction**. Those decisions are made by
+//!   [`planner::Planner`], which the live TCP coordinator drives too.
 //! * [`StaticCache`] — the paper's baseline: a fixed fleet (static-2/4/8)
 //!   with per-node LRU replacement, as in cluster/grid deployments and
 //!   memcached.
@@ -52,6 +53,7 @@ pub mod lockorder;
 mod lru;
 mod metrics;
 mod node;
+pub mod planner;
 mod record;
 mod shard;
 pub mod slab;

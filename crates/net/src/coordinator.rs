@@ -1,21 +1,23 @@
 //! The live coordinator: GBA over real sockets.
 //!
-//! Mirrors [`ecc_core::ElasticCache`]'s control logic, but every node is a
-//! TCP cache server and every migration travels the wire. Spawning a server
-//! thread stands in for booting an EC2 instance.
+//! Drives the same [`Planner`] as [`ecc_core::ElasticCache`], but every
+//! node is a TCP cache server and every migration travels the wire.
+//! Spawning a server thread stands in for booting an EC2 instance. Each
+//! elastic operation is a root span over the wire ops it issued.
 //!
 //! Single-writer assumption: one coordinator owns the ring and is the only
 //! writer, as in the paper (queries are "first sent to a coordinating
 //! compute node").
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;
 
 use bytes::Bytes;
 use ecc_chash::HashRing;
+use ecc_core::planner::{Elastic, Move, NodeStore, Planner, Put, DEFAULT_MERGE_FILL};
 use ecc_core::SlidingWindow;
-use ecc_obs::{ObsEvent, ObsRegistry, ObsSnapshot, TimeSource};
+use ecc_obs::{ObsEvent, ObsRegistry, ObsSnapshot, SpanGuard, TimeSource};
 
 use crate::client::RemoteNode;
 use crate::protocol::Status;
@@ -41,40 +43,25 @@ fn internal(what: &str) -> io::Error {
     io::Error::other(format!("coordinator invariant violated: {what}"))
 }
 
-/// Send one `PutMany` frame and fail with `what` on any per-item refusal.
-fn flush_put_batch(
-    client: &mut RemoteNode,
-    batch: Vec<(u64, Bytes)>,
-    what: &str,
-) -> io::Result<()> {
-    for status in client.put_many(batch)? {
-        if status != Status::Ok {
-            return Err(io::Error::other(format!("{what}: {status:?}")));
-        }
-    }
-    Ok(())
-}
-
 /// The live elastic-cache coordinator.
 pub struct LiveCoordinator {
-    ring: HashRing<usize>,
-    nodes: Vec<Option<ManagedNode>>,
-    ring_range: u64,
-    capacity_bytes: u64,
-    btree_order: usize,
-    /// Contraction threshold (fraction of one node's capacity).
-    pub merge_fill_threshold: f64,
-    /// Eviction window (optional, as in the simulated cache).
-    window: Option<SlidingWindow>,
+    planner: Planner<usize>,
+    fleet: Fleet,
     /// Contraction cadence in slice expirations.
     pub contraction_epsilon: u64,
-    expirations: u64,
     /// Nodes spawned over the coordinator's lifetime.
     pub nodes_spawned: usize,
     /// Bucket splits performed.
     pub splits: usize,
     /// Node merges performed.
     pub merges: usize,
+}
+
+/// The cache servers: the [`NodeStore`] the planner drives.
+struct Fleet {
+    nodes: Vec<Option<ManagedNode>>,
+    capacity_bytes: u64,
+    btree_order: usize,
     /// Coordinator-side flight recorder + latency histograms.
     obs: ObsRegistry,
     /// Clock epoch shared by the coordinator and every node it spawns, so
@@ -87,61 +74,52 @@ impl LiveCoordinator {
     /// Start a coordinator with one cache server of the given capacity.
     pub fn start(ring_range: u64, capacity_bytes: u64) -> io::Result<LiveCoordinator> {
         let time = TimeSource::real();
-        let obs = ObsRegistry::new(time.clone());
-        // Span-id origins: the coordinator allocates from origin 0, node
-        // `id` from origin `id + 1` — distinct per recorder, so merged
-        // span ids never collide.
-        let mut coord = LiveCoordinator {
-            ring: HashRing::new(ring_range),
+        let mut fleet = Fleet {
             nodes: Vec::new(),
-            ring_range,
             capacity_bytes,
             btree_order: 64,
-            merge_fill_threshold: 0.65,
-            window: None,
-            contraction_epsilon: 1,
-            expirations: 0,
-            nodes_spawned: 0,
-            splits: 0,
-            merges: 0,
-            obs,
+            obs: ObsRegistry::new(time.clone()),
             time,
         };
-        let first = coord.spawn_node()?;
-        coord
-            .ring
-            .insert_bucket(ring_range - 1, first)
-            .map_err(|_| internal("fresh ring has a colliding bucket"))?;
-        Ok(coord)
+        let first = fleet.spawn_node()?;
+        Ok(LiveCoordinator {
+            planner: Planner::new(ring_range, first, capacity_bytes, DEFAULT_MERGE_FILL, 1),
+            fleet,
+            contraction_epsilon: 1,
+            nodes_spawned: 1,
+            splits: 0,
+            merges: 0,
+        })
     }
 
     /// Enable sliding-window eviction (`m`, `α`, `T_λ`).
     pub fn enable_window(&mut self, m: usize, alpha: f64, threshold: f64) {
-        self.window = Some(SlidingWindow::new(m, alpha, threshold));
+        self.planner
+            .set_window(Some(SlidingWindow::new(m, alpha, threshold)));
     }
 
     /// Number of live cache servers.
     pub fn node_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
+        self.fleet.active_ids().len()
     }
 
     /// Read-only view of the hash ring (load generators route with it).
     pub fn ring(&self) -> &HashRing<usize> {
-        &self.ring
+        self.planner.ring()
     }
 
     /// The coordinator's own observability registry (structural events,
     /// fan-out and migration latency histograms).
     pub fn obs(&self) -> &ObsRegistry {
-        &self.obs
+        &self.fleet.obs
     }
 
     /// Cluster-wide observability snapshot: fan out `ObsDump` to every
     /// node, then merge the per-node snapshots with the coordinator's own
     /// (histograms add bucket-wise, events interleave by timestamp).
     pub fn cluster_obs(&mut self) -> io::Result<ObsSnapshot> {
-        let mut merged = self.obs.snapshot();
-        for (_, snap) in self.fan_out(|_, client| client.obs_dump())? {
+        let mut merged = self.fleet.obs.snapshot();
+        for (_, snap) in self.fleet.fan_out(|_, client| client.obs_dump())? {
             merged.merge(&snap);
         }
         Ok(merged)
@@ -149,7 +127,8 @@ impl LiveCoordinator {
 
     /// Address of node `id`'s cache server, if it is active.
     pub fn node_addr(&self, id: usize) -> Option<SocketAddr> {
-        self.nodes
+        self.fleet
+            .nodes
             .get(id)
             .and_then(Option::as_ref)
             .map(|n| n.server.addr())
@@ -158,19 +137,99 @@ impl LiveCoordinator {
     /// Total `(bytes, records)` across nodes, collected with one
     /// concurrent stats fan-out instead of sequential round-trips.
     pub fn totals(&mut self) -> io::Result<(u64, u64)> {
-        let stats = self.fan_out(|_, client| client.stats())?;
-        let mut bytes = 0;
-        let mut records = 0;
-        for (_, (b, r, _)) in stats {
-            bytes += b;
-            records += r;
-        }
-        Ok((bytes, records))
+        let stats = self.fleet.fan_out(|_, client| client.stats())?;
+        Ok(stats
+            .into_iter()
+            .fold((0, 0), |(b, r), (_, (used, n, _))| (b + used, r + n)))
     }
 
+    /// Mirror the planner's and the fleet's counters into the public ones.
+    fn settle<T>(&mut self, res: io::Result<T>) -> io::Result<T> {
+        self.splits = self.planner.splits() as usize;
+        self.merges = self.planner.merges() as usize;
+        self.nodes_spawned = self.fleet.nodes.len();
+        res
+    }
+
+    /// Look up `key` on the owning node.
+    pub fn get(&mut self, key: u64) -> io::Result<Option<Vec<u8>>> {
+        self.planner.note_query(key);
+        let nid = self.planner.owner(key)?;
+        self.fleet.client(nid)?.get(key)
+    }
+
+    /// Store `value` under `key`, splitting buckets / spawning servers as
+    /// needed (GBA).
+    pub fn put(&mut self, key: u64, value: Vec<u8>) -> io::Result<()> {
+        let invalid = |what| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+        if key >= self.planner.ring().range() {
+            return invalid("key outside hash line");
+        }
+        if value.len() as u64 > self.fleet.capacity_bytes {
+            return invalid("record exceeds node capacity");
+        }
+        let placed = self.planner.insert(&mut self.fleet, key, &value);
+        self.settle(placed.map(drop))
+    }
+
+    /// Close a time slice: evict expired keys, contract every `ε`
+    /// expirations.
+    pub fn end_time_step(&mut self) -> io::Result<()> {
+        let Some(expired) = self.planner.window_mut().and_then(SlidingWindow::end_slice) else {
+            return Ok(());
+        };
+        let res = self
+            .planner
+            .expire(&mut self.fleet, &[expired], self.contraction_epsilon);
+        self.settle(res)
+    }
+
+    /// Merge the two least-loaded nodes when their data fits the threshold.
+    pub fn try_contract(&mut self) -> io::Result<()> {
+        let res = self.planner.contract(&mut self.fleet);
+        self.settle(res)
+    }
+
+    /// Audit coordinator-wide invariants: the ring partitions the hash
+    /// line, every bucket maps to a live server, every live server owns at
+    /// least one bucket, and no server reports more resident bytes than its
+    /// capacity. Returns a typed [`io::Error`] on the first violation (the
+    /// simulation harness promotes this to a hard failure after every
+    /// event).
+    pub fn check_invariants(&mut self) -> io::Result<()> {
+        self.planner
+            .audit(&self.fleet.active_ids())
+            .map_err(|e| internal(&e.to_string()))?;
+        for (id, (used, _, cap)) in self.fleet.fan_out(|_, client| client.stats())? {
+            if used > cap {
+                return Err(internal(&format!(
+                    "node {id} holds {used} B over its {cap} B capacity"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Stop every cache server; each one's listener is closed and its
+    /// threads joined by the time this returns.
+    pub fn shutdown(&mut self) -> io::Result<()> {
+        for node in 0..self.fleet.nodes.len() {
+            self.fleet.release(node)?;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for LiveCoordinator {
+    fn drop(&mut self) {
+        let _ = self.shutdown();
+    }
+}
+
+impl Fleet {
     /// Run `f` against every active node's client concurrently (one scoped
-    /// thread per node) and collect `(node_id, result)` pairs. The first
-    /// node error wins; all threads are joined either way.
+    /// thread per node) and collect `(node_id, result)` pairs in node
+    /// order. The first node error wins; all threads are joined either way.
     ///
     /// When the calling thread has a live span (an elastic operation in
     /// progress), the whole fan-out gets a `coord_fanout` child span and
@@ -238,6 +297,9 @@ impl LiveCoordinator {
 
     fn spawn_node(&mut self) -> io::Result<usize> {
         let id = self.nodes.len();
+        // Span-id origins: the coordinator allocates from origin 0, node
+        // `id` from origin `id + 1` — distinct per recorder, so merged
+        // span ids never collide.
         let server = CacheServer::spawn_clocked(
             ("127.0.0.1", 0),
             self.capacity_bytes,
@@ -249,7 +311,6 @@ impl LiveCoordinator {
         )?;
         let client = RemoteNode::connect(server.addr())?.with_obs(self.obs.clone());
         self.nodes.push(Some(ManagedNode { server, client }));
-        self.nodes_spawned += 1;
         self.obs.emit(ObsEvent::NodeAlloc {
             at_us: self.obs.now_us(),
             node: id as u32,
@@ -257,396 +318,129 @@ impl LiveCoordinator {
         Ok(id)
     }
 
-    /// Look up `key` on the owning node.
-    pub fn get(&mut self, key: u64) -> io::Result<Option<Vec<u8>>> {
-        if let Some(w) = &mut self.window {
-            w.note_query(key);
-        }
-        let nid = *self
-            .ring
-            .node_for_key(key)
-            .ok_or_else(|| internal("ring has no buckets"))?;
-        self.client(nid)?.get(key)
-    }
-
-    /// Store `value` under `key`, splitting buckets / spawning servers as
-    /// needed (GBA).
-    pub fn put(&mut self, key: u64, value: Vec<u8>) -> io::Result<()> {
-        if key >= self.ring_range {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "key outside hash line",
-            ));
-        }
-        if value.len() as u64 > self.capacity_bytes {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "record exceeds node capacity",
-            ));
-        }
-        for _ in 0..64 {
-            let nid = *self
-                .ring
-                .node_for_key(key)
-                .ok_or_else(|| internal("ring has no buckets"))?;
-            match self.client(nid)?.put(key, value.clone())? {
-                Status::Ok => return Ok(()),
-                Status::Overflow => self.split_node(nid)?,
-                s => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected put status {s:?}"),
-                    ))
-                }
-            }
-        }
-        Err(io::Error::other("GBA split loop exceeded bound"))
-    }
-
-    /// Algorithm 1 lines 8–15, over the wire.
-    fn split_node(&mut self, nid: usize) -> io::Result<()> {
-        // First-class root span: every wire op below (bucket sizing,
-        // key listing, the migration itself) attaches under it via the
-        // thread-local scope.
-        let _split = self.obs.span_root("elastic_split");
-        let buckets = self.ring.buckets_of_node(&nid);
-        // Fullest bucket by resident bytes.
-        let Some(&first) = buckets.first() else {
-            return Err(internal("active node owns no bucket"));
-        };
-        let mut b_max = first;
-        let mut best = 0u64;
-        for &b in &buckets {
-            let mut bytes = 0;
-            for (lo, hi) in self.spans_of_bucket(b)? {
-                bytes += self.client(nid)?.range_stats(lo, hi)?.0;
-            }
-            if bytes >= best {
-                best = bytes;
-                b_max = b;
-            }
-        }
-        let spans = self.spans_of_bucket(b_max)?;
-        let mut keys = Vec::new();
-        for &(lo, hi) in &spans {
-            keys.extend(self.client(nid)?.keys(lo, hi)?);
-        }
-        if keys.len() < 2 {
-            // Whole-bucket relocation fallback (see the simulated cache).
-            if buckets.len() < 2 {
-                return Err(io::Error::other("single unsplittable bucket"));
-            }
-            let dest = self.migrate(nid, &spans)?;
-            self.ring
-                .remap_bucket(b_max, dest)
-                .map_err(|_| internal("bucket vanished while relocating it"))?;
-            self.splits += 1;
-            self.obs.emit(ObsEvent::BucketSplit {
-                at_us: self.obs.now_us(),
-                node: nid as u32,
-                new_node: dest as u32,
-                bucket: b_max,
-            });
-            return Ok(());
-        }
-        let mut mu_idx = keys.len() / 2;
-        while mu_idx > 0 && self.ring.node_of_bucket(keys[mu_idx]).is_some() {
-            mu_idx -= 1;
-        }
-        let k_mu = keys[mu_idx];
-        if self.ring.node_of_bucket(k_mu).is_some() {
-            return Err(io::Error::other("no split position"));
-        }
-        let mut move_spans = Vec::new();
-        for &(lo, hi) in &spans {
-            if (lo..=hi).contains(&k_mu) {
-                move_spans.push((lo, k_mu));
-                break;
-            }
-            move_spans.push((lo, hi));
-        }
-        let dest = self.migrate(nid, &move_spans)?;
-        // Collision with an existing bucket was ruled out when k^µ was
-        // chosen above.
-        self.ring
-            .insert_bucket(k_mu, dest)
-            .map_err(|_| internal("split bucket position already occupied"))?;
-        self.splits += 1;
-        self.obs.emit(ObsEvent::BucketSplit {
-            at_us: self.obs.now_us(),
-            node: nid as u32,
-            new_node: dest as u32,
-            bucket: k_mu,
-        });
-        Ok(())
-    }
-
-    /// Algorithm 2 over the wire: sweep `spans` off `src` and put them on
-    /// the least-loaded other node (or a freshly spawned one). The sweep
-    /// travels back as record batches and lands on `dest` as chunked
-    /// `PutMany` frames instead of one round-trip per record.
-    fn migrate(&mut self, src: usize, spans: &[(u64, u64)]) -> io::Result<usize> {
-        let mut total = 0u64;
-        for &(lo, hi) in spans {
-            total += self.client(src)?.range_stats(lo, hi)?.0;
-        }
-        // Least-loaded other node, by one concurrent stats fan-out.
-        let mut dest: Option<(usize, u64)> = None;
-        for (id, (used, _, _)) in self.fan_out(|_, client| client.stats())? {
-            if id == src {
-                continue;
-            }
-            if dest.is_none_or(|(_, best)| used < best) {
-                dest = Some((id, used));
-            }
-        }
-        let (dest, allocated) = match dest {
-            Some((id, used)) if used + total <= self.capacity_bytes => (id, false),
-            _ => (self.spawn_node()?, true),
-        };
-        let t0 = self.obs.now_us();
-        let mut moved_records = 0u64;
-        let mut moved_bytes = 0u64;
-        for &(lo, hi) in spans {
-            // One span per migration chunk: the source sweep and the
-            // chunked PutMany replay onto the destination, nested under
-            // the enclosing elastic operation.
-            let _chunk = self.obs.span_follow("migrate_chunk");
-            let records = self.client(src)?.sweep(lo, hi)?;
-            moved_records += records.len() as u64;
-            moved_bytes += records.iter().map(|(_, v)| v.len() as u64).sum::<u64>();
-            self.put_all(dest, records, "migration put failed")?;
-        }
-        let duration_us = self.obs.now_us() - t0;
-        self.obs.record("coord_migrate_us", duration_us);
-        self.obs.emit(ObsEvent::SweepMigrate {
-            at_us: t0,
-            src: src as u32,
-            dest: dest as u32,
-            records: moved_records,
-            bytes: moved_bytes,
-            duration_us,
-            allocated,
-        });
-        Ok(dest)
-    }
-
-    /// Push `records` onto node `dest` as chunked `PutMany` frames; any
-    /// per-item refusal aborts with `what` (migration and merges move
-    /// records the destination was sized to hold, so refusal is a bug).
-    fn put_all(&mut self, dest: usize, records: Vec<(u64, Vec<u8>)>, what: &str) -> io::Result<()> {
+    /// Push `records` onto node `dest` as chunked `PutMany` frames. Any
+    /// per-item refusal is an error: migrations move records the
+    /// destination was sized to hold, so a refusal is a bug.
+    fn put_all(&mut self, dest: usize, records: Vec<(u64, Vec<u8>)>) -> io::Result<()> {
         let client = self.client(dest)?;
-        let mut batch: Vec<(u64, Bytes)> = Vec::new();
-        let mut batch_bytes = 0usize;
-        for (k, v) in records {
+        let (mut batch, mut batch_bytes) = (Vec::new(), 0);
+        let mut records = records.into_iter().peekable();
+        while let Some((k, v)) = records.next() {
             batch_bytes += v.len();
             batch.push((k, Bytes::from(v)));
-            if batch.len() >= PUT_BATCH_MAX_ITEMS || batch_bytes >= PUT_BATCH_MAX_BYTES {
-                flush_put_batch(client, std::mem::take(&mut batch), what)?;
+            let full = batch.len() >= PUT_BATCH_MAX_ITEMS || batch_bytes >= PUT_BATCH_MAX_BYTES;
+            if full || records.peek().is_none() {
+                let statuses = client.put_many(std::mem::take(&mut batch))?;
+                if let Some(s) = statuses.into_iter().find(|&s| s != Status::Ok) {
+                    return Err(io::Error::other(format!("migration put failed: {s:?}")));
+                }
                 batch_bytes = 0;
             }
         }
-        if !batch.is_empty() {
-            flush_put_batch(client, batch, what)?;
-        }
         Ok(())
-    }
-
-    /// Close a time slice: evict expired keys, contract every `ε`
-    /// expirations.
-    pub fn end_time_step(&mut self) -> io::Result<()> {
-        let Some(w) = &mut self.window else {
-            return Ok(());
-        };
-        let Some(expired) = w.end_slice() else {
-            return Ok(());
-        };
-        self.expirations += 1;
-        // First-class root span over the whole slice close: victim
-        // scoring, the eviction fan-out, and the contraction probe all
-        // attach under it.
-        let _expire = self.obs.span_root("elastic_slice_expire");
-        // Score against the window that remains, then drop its borrow
-        // before talking to the nodes.
-        let victims = match &self.window {
-            Some(w) => w.victims(&expired),
-            None => Vec::new(),
-        };
-        self.obs.emit(ObsEvent::SliceExpire {
-            at_us: self.obs.now_us(),
-            expiration: self.expirations,
-            victims: victims.len() as u64,
-        });
-        // Group victims by owning node: O(nodes) batched `EvictMany`
-        // frames fanned out concurrently, instead of one blocking
-        // round-trip per victim.
-        let mut batches: HashMap<usize, Vec<u64>> = HashMap::new();
-        for key in victims {
-            if let Some(&nid) = self.ring.node_for_key(key) {
-                batches.entry(nid).or_default().push(key);
-            }
-        }
-        if !batches.is_empty() {
-            {
-                let batches = &batches;
-                self.fan_out(|id, client| match batches.get(&id) {
-                    Some(keys) => client.evict_many(keys).map(|_| ()),
-                    None => Ok(()),
-                })?;
-            }
-            let at_us = self.obs.now_us();
-            for (nid, keys) in batches {
-                self.obs.emit(ObsEvent::EvictBatch {
-                    at_us,
-                    node: nid as u32,
-                    keys,
-                });
-            }
-        }
-        if self.expirations.is_multiple_of(self.contraction_epsilon) {
-            self.try_contract()?;
-        }
-        Ok(())
-    }
-
-    /// Merge the two least-loaded nodes when their data fits the threshold.
-    pub fn try_contract(&mut self) -> io::Result<()> {
-        let mut loads: Vec<(u64, usize)> = self
-            .fan_out(|_, client| client.stats())?
-            .into_iter()
-            .map(|(id, (used, _, _))| (used, id))
-            .collect();
-        if loads.len() < 2 {
-            return Ok(());
-        }
-        loads.sort();
-        let (a_used, a) = loads[0];
-        let (b_used, b) = loads[1];
-        let limit = (self.merge_fill_threshold * self.capacity_bytes as f64) as u64;
-        if a_used + b_used > limit {
-            return Ok(());
-        }
-        // First-class root span for the merge proper (the stats probe
-        // above runs on every contraction check and stays outside it).
-        let _merge = self.obs.span_root("elastic_merge");
-        // Drain a into b, as one migration chunk.
-        let t0 = self.obs.now_us();
-        let hi = self.ring_range - 1;
-        let moved;
-        {
-            let _chunk = self.obs.span_follow("migrate_chunk");
-            let records = self.client(a)?.sweep(0, hi)?;
-            moved = records.len() as u64;
-            self.put_all(b, records, "merge put failed")?;
-        }
-        self.obs.record("coord_migrate_us", self.obs.now_us() - t0);
-        for bucket in self.ring.buckets_of_node(&a) {
-            self.ring
-                .remap_bucket(bucket, b)
-                .map_err(|_| internal("bucket vanished during merge"))?;
-        }
-        // Coalesce redundant buckets (see the simulated coordinator).
-        for bucket in self.ring.buckets_of_node(&b) {
-            if self.ring.len() <= 1 {
-                break;
-            }
-            let Ok(succ) = self.ring.successor(bucket) else {
-                break;
-            };
-            if succ != bucket && self.ring.node_of_bucket(succ) == Some(&b) {
-                self.ring
-                    .remove_bucket(bucket)
-                    .map_err(|_| internal("bucket vanished while coalescing"))?;
-            }
-        }
-        self.obs.emit(ObsEvent::NodeMerge {
-            at_us: t0,
-            src: a as u32,
-            dest: b as u32,
-            records: moved,
-        });
-        if let Some(mut dead) = self.nodes[a].take() {
-            let _ = dead.client.shutdown();
-            dead.server.stop();
-        }
-        self.obs.emit(ObsEvent::NodeDealloc {
-            at_us: self.obs.now_us(),
-            node: a as u32,
-        });
-        self.merges += 1;
-        Ok(())
-    }
-
-    /// Audit coordinator-wide invariants: the ring partitions the hash
-    /// line, every bucket maps to a live server, every live server owns at
-    /// least one bucket, and no server reports more resident bytes than its
-    /// capacity. Returns a typed [`io::Error`] on the first violation (the
-    /// simulation harness promotes this to a hard failure after every
-    /// event).
-    pub fn check_invariants(&mut self) -> io::Result<()> {
-        self.ring
-            .check_invariants()
-            .map_err(|e| internal(&format!("ring audit: {e}")))?;
-        let active = self.active_ids();
-        for (pos, &nid) in self.ring.buckets() {
-            if !active.contains(&nid) {
-                return Err(internal(&format!(
-                    "bucket {pos} references inactive node {nid}"
-                )));
-            }
-        }
-        for id in active {
-            if self.ring.buckets_of_node(&id).is_empty() {
-                return Err(internal(&format!("live node {id} owns no bucket")));
-            }
-        }
-        for (id, (used, _, cap)) in self.fan_out(|_, client| client.stats())? {
-            if used > cap {
-                return Err(internal(&format!(
-                    "node {id} holds {used} B over its {cap} B capacity"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Stop every cache server.
-    pub fn shutdown(&mut self) -> io::Result<()> {
-        for slot in &mut self.nodes {
-            if let Some(mut node) = slot.take() {
-                let _ = node.client.shutdown();
-                node.server.stop();
-            }
-        }
-        Ok(())
-    }
-
-    /// Circular spans of the arc owned by bucket `b`.
-    fn spans_of_bucket(&self, b: u64) -> io::Result<Vec<(u64, u64)>> {
-        let pred = self
-            .ring
-            .predecessor(b)
-            .map_err(|_| internal("bucket vanished while computing its arc"))?;
-        let r = self.ring_range;
-        Ok(if pred == b {
-            if b == r - 1 {
-                vec![(0, r - 1)]
-            } else {
-                vec![(b + 1, r - 1), (0, b)]
-            }
-        } else if pred < b {
-            vec![(pred + 1, b)]
-        } else if pred == r - 1 {
-            vec![(0, b)]
-        } else {
-            vec![(pred + 1, r - 1), (0, b)]
-        })
     }
 }
 
-impl Drop for LiveCoordinator {
-    fn drop(&mut self) {
-        let _ = self.shutdown();
+impl NodeStore<usize> for Fleet {
+    type Value = Vec<u8>;
+    type Error = io::Error;
+
+    fn obs(&self) -> &ObsRegistry {
+        &self.obs
+    }
+
+    /// Every elastic operation is a first-class root span: the wire ops it
+    /// issues attach under it via the thread-local scope.
+    fn scope(&self, op: Elastic) -> Option<SpanGuard> {
+        Some(self.obs.span_root(match op {
+            Elastic::Split => "elastic_split",
+            Elastic::Merge => "elastic_merge",
+            Elastic::SliceExpire => "elastic_slice_expire",
+        }))
+    }
+
+    /// One concurrent stats fan-out.
+    fn loads(&mut self) -> io::Result<Vec<(usize, u64)>> {
+        let stats = self.fan_out(|_, client| client.stats())?;
+        Ok(stats
+            .into_iter()
+            .map(|(id, (used, _, _))| (id, used))
+            .collect())
+    }
+
+    fn range_bytes(&mut self, node: usize, lo: u64, hi: u64) -> io::Result<u64> {
+        Ok(self.client(node)?.range_stats(lo, hi)?.0)
+    }
+
+    fn keys(&mut self, node: usize, lo: u64, hi: u64) -> io::Result<Vec<u64>> {
+        self.client(node)?.keys(lo, hi)
+    }
+
+    fn put(&mut self, node: usize, key: u64, value: &Vec<u8>) -> io::Result<Put> {
+        match self.client(node)?.put(key, value.clone())? {
+            Status::Ok => Ok(Put::Stored),
+            Status::Overflow => Ok(Put::Overflow),
+            s => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unexpected put status {s:?}"),
+            )),
+        }
+    }
+
+    /// Each span is one migration chunk: the source sweep travels back as
+    /// record batches and lands on `dest` as chunked `PutMany` frames
+    /// instead of one round-trip per record.
+    fn migrate(
+        &mut self,
+        src: usize,
+        dest: usize,
+        spans: &[(u64, u64)],
+        _why: Move,
+    ) -> io::Result<(u64, u64)> {
+        let t0 = self.obs.now_us();
+        let (mut records, mut bytes) = (0, 0);
+        for &(lo, hi) in spans {
+            let _chunk = self.obs.span_follow("migrate_chunk");
+            let swept = self.client(src)?.sweep(lo, hi)?;
+            records += swept.len() as u64;
+            bytes += swept.iter().map(|(_, v)| v.len() as u64).sum::<u64>();
+            self.put_all(dest, swept)?;
+        }
+        self.obs.record("coord_migrate_us", self.obs.now_us() - t0);
+        Ok((records, bytes))
+    }
+
+    /// One batched `EvictMany` frame per owning node, fanned out
+    /// concurrently; a key counts as removed when its status is `Ok`.
+    fn evict_many(
+        &mut self,
+        batches: &BTreeMap<usize, Vec<u64>>,
+    ) -> io::Result<Vec<(usize, Vec<u64>)>> {
+        self.fan_out(|id, client| {
+            let Some(keys) = batches.get(&id) else {
+                return Ok(Vec::new());
+            };
+            let statuses = client.evict_many(keys)?;
+            Ok(keys
+                .iter()
+                .zip(statuses)
+                .filter(|(_, s)| *s == Status::Ok)
+                .map(|(&k, _)| k)
+                .collect())
+        })
+    }
+
+    fn alloc(&mut self) -> io::Result<usize> {
+        self.spawn_node()
+    }
+
+    /// Stop the node's server: its listener closes and its threads and
+    /// data are gone before this returns.
+    fn release(&mut self, node: usize) -> io::Result<()> {
+        if let Some(mut dead) = self.nodes.get_mut(node).and_then(Option::take) {
+            dead.server.stop();
+        }
+        Ok(())
     }
 }
 
@@ -806,5 +600,41 @@ mod tests {
         assert!(c.put(5000, vec![1]).is_err());
         assert!(c.put(1, vec![0; 501]).is_err());
         c.shutdown().unwrap();
+    }
+
+    #[test]
+    fn released_nodes_stop_listening() {
+        let mut c = LiveCoordinator::start(1 << 16, 1000).unwrap();
+        c.enable_window(2, 0.99, 0.99f64.powi(1));
+        for k in 0..32u64 {
+            if c.get(k * 999).unwrap().is_none() {
+                c.put(k * 999, vec![1; 100]).unwrap();
+            }
+        }
+        let addrs: Vec<_> = (0..c.nodes_spawned)
+            .filter_map(|id| c.node_addr(id))
+            .collect();
+        for _ in 0..8 {
+            c.end_time_step().unwrap();
+        }
+        assert!(c.merges >= 1, "no contraction to release a node");
+        let released: Vec<_> = addrs
+            .iter()
+            .filter(|a| !(0..c.nodes_spawned).any(|id| c.node_addr(id) == Some(**a)))
+            .collect();
+        assert_eq!(released.len(), c.merges);
+        for addr in released {
+            assert!(
+                std::net::TcpStream::connect(addr).is_err(),
+                "merged node {addr} still accepts connections"
+            );
+        }
+        c.shutdown().unwrap();
+        for addr in &addrs {
+            assert!(
+                std::net::TcpStream::connect(addr).is_err(),
+                "node {addr} still accepts connections after shutdown"
+            );
+        }
     }
 }

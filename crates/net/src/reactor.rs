@@ -447,10 +447,12 @@ fn sweep_conn(conn: &mut Conn, shared: &ReactorShared) -> io::Result<Sweep> {
     if conn.pending_write() == 0 && conn.close_after_flush {
         return Ok(Sweep::Close);
     }
-    if conn.got_eof && conn.asm.buffered() < 4 && conn.pending_write() == 0 {
+    if conn.got_eof && !conn.asm.has_frame().unwrap_or(false) && conn.pending_write() == 0 {
         // Peer closed and everything decodable has been served and
-        // flushed (a trailing partial frame at EOF is discarded, matching
-        // the blocking server's UnexpectedEof exit).
+        // flushed. A trailing partial frame at EOF — a bare length prefix
+        // or a prefix plus part of its body — can never complete, so it
+        // is discarded and the slot freed (the blocking server's
+        // UnexpectedEof exit).
         return Ok(Sweep::Close);
     }
     Ok(Sweep::Progress(progress))

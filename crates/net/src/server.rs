@@ -217,22 +217,20 @@ impl CacheServer {
     }
 
     /// Stop accepting, drain the reactors, and join every server thread.
-    /// Idempotent. If a wire `Shutdown` already set the flag, the reactors
-    /// wind down on their own as their connections close (mirroring the
-    /// old detached connection threads), and `stop()` does not wait.
+    /// Idempotent. When it returns, the listener is closed (connects to
+    /// [`CacheServer::addr`] are refused) and the node's threads and data
+    /// are gone — also after a wire `Shutdown`, which only stops the
+    /// acceptor at its next connection and lets idle reactors linger.
     pub fn stop(&mut self) {
-        // AcqRel: the swap both publishes the stop (Release, seen by the
-        // accept loop's Acquire load) and observes a concurrent stop()
-        // (Acquire), making the join-once idempotence race-free.
-        if self.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Release pairs with the reactors' Acquire loads; everything the
-        // server did is published before they observe the halt.
+        // Release pairs with the accept loop's and the reactors' Acquire
+        // loads; everything the server did is published before they
+        // observe the flags.
+        self.shutdown.store(true, Ordering::Release);
         self.halt.store(true, Ordering::Release);
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
+            // Unblock the accept loop (refused if it already exited on a
+            // wire Shutdown and dropped the listener).
+            let _ = TcpStream::connect(self.addr);
             let _ = t.join();
         }
         if let Some(mut pool) = self.reactors.take() {

@@ -111,7 +111,7 @@ impl ModelLru {
         self.entries.is_empty()
     }
 
-    /// Total stored value bytes.
+    /// Total charged bytes: each value at its slab footprint.
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
@@ -133,16 +133,16 @@ impl ModelLru {
     pub fn insert(&mut self, key: u64, value: Vec<u8>) {
         if let Some(idx) = self.entries.iter().position(|(k, _)| *k == key) {
             let (_, old) = self.entries.remove(idx);
-            self.bytes -= old.len() as u64;
+            self.bytes -= ecc_core::slab::footprint(old.len());
         }
-        self.bytes += value.len() as u64;
+        self.bytes += ecc_core::slab::footprint(value.len());
         self.entries.insert(0, (key, value));
     }
 
     /// Evict the least recently used entry.
     pub fn pop_lru(&mut self) -> Option<(u64, Vec<u8>)> {
         let e = self.entries.pop()?;
-        self.bytes -= e.1.len() as u64;
+        self.bytes -= ecc_core::slab::footprint(e.1.len());
         Some(e)
     }
 
@@ -296,7 +296,7 @@ impl ModelServer {
                     .iter()
                     .map(|k| match self.map.remove(k) {
                         Some(v) => {
-                            self.used -= v.len() as u64;
+                            self.used -= ecc_core::slab::footprint(v.len());
                             Status::Ok
                         }
                         None => Status::NotFound,
@@ -318,6 +318,7 @@ impl ModelServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecc_core::slab::footprint;
 
     #[test]
     fn model_window_matches_production_window() {
@@ -350,11 +351,11 @@ mod tests {
         l.insert(1, vec![0; 10]);
         l.insert(2, vec![0; 20]);
         l.insert(3, vec![0; 30]);
-        assert_eq!(l.bytes(), 60);
+        assert_eq!(l.bytes(), footprint(10) + footprint(20) + footprint(30));
         l.get(1);
         assert_eq!(l.pop_lru().map(|(k, _)| k), Some(2));
         l.insert(3, vec![0; 5]); // replace shrinks bytes, touches
-        assert_eq!(l.bytes(), 15);
+        assert_eq!(l.bytes(), footprint(10) + footprint(5));
         assert_eq!(l.pop_lru().map(|(k, _)| k), Some(1));
         assert!(l.contains(3));
         assert_eq!(l.len(), 1);
@@ -362,7 +363,8 @@ mod tests {
 
     #[test]
     fn model_server_charges_replacement_growth_only() {
-        let mut s = ModelServer::new(100);
+        // Room for exactly one 90-byte record at its charged footprint.
+        let mut s = ModelServer::new(footprint(90));
         assert_eq!(
             s.respond(Some(Request::Put {
                 key: 1,
@@ -389,7 +391,7 @@ mod tests {
             .status,
             Status::Overflow
         );
-        assert_eq!(s.used(), 90);
+        assert_eq!(s.used(), footprint(90));
     }
 
     #[test]
@@ -413,7 +415,7 @@ mod tests {
             ]))
         );
         assert_eq!(s.len(), 2);
-        assert_eq!(s.used(), 8);
+        assert_eq!(s.used(), 2 * footprint(4));
         let r = s.respond(None);
         assert_eq!(r.status, Status::BadRequest);
     }

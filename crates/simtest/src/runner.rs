@@ -157,8 +157,14 @@ impl QuietPanics {
 
 impl Drop for QuietPanics {
     fn drop(&mut self) {
-        // Taking the hook reinstates the default one.
-        let _ = std::panic::take_hook();
+        // Taking the hook reinstates the default one. `take_hook` panics
+        // when called from a panicking thread, and a panic inside this
+        // drop would abort the whole test binary and lose the original
+        // failure message, so an unwinding guard leaves the silent hook in
+        // place.
+        if !std::thread::panicking() {
+            let _ = std::panic::take_hook();
+        }
     }
 }
 

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use ecc_net::client::RemoteNode;
-use ecc_net::protocol::{read_frame, write_frame, Request, Response};
+use ecc_net::protocol::{read_frame, write_frame, Request, Response, Status};
 use ecc_net::server::CacheServer;
 use ecc_simtest::event::record_bytes;
 use ecc_simtest::model::ModelServer;
@@ -40,6 +40,40 @@ fn send_split(stream: &mut TcpStream, payload: &[u8], cut: usize) -> std::io::Re
     stream.write_all(&wire[cut..])
 }
 
+/// A served connection on a server with `max_connections = 1`: retried
+/// until the previous holder's slot is free, proven admitted by a PING
+/// answered `Ok` rather than `Busy`.
+fn admitted(addr: std::net::SocketAddr) -> TcpStream {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        if let Ok(mut s) = TcpStream::connect(addr) {
+            let ping =
+                write_frame(&mut s, &Request::Ping.encode()).and_then(|()| read_frame(&mut s));
+            if ping.is_ok_and(|r| Response::decode(r) == Some(Response::status(Status::Ok))) {
+                return s;
+            }
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "one-slot server never freed its slot"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Send only the first `cut` bytes of a frame's wire image on an admitted
+/// connection, then FIN. The half frame can never complete, so the server
+/// must free the slot: the next connect to the one-slot server is served.
+fn fin_after_prefix_frees_the_slot(addr: std::net::SocketAddr, payload: &[u8], cut: usize) {
+    let mut wire = Vec::with_capacity(4 + payload.len());
+    wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    wire.extend_from_slice(payload);
+    let mut raw = admitted(addr);
+    raw.write_all(&wire[..cut]).expect("prefix write");
+    drop(raw);
+    drop(admitted(addr));
+}
+
 fn roundtrip(stream: &mut TcpStream, req: &Request, cut: usize) -> Response {
     let payload = req.encode();
     send_split(stream, &payload, cut).expect("split send");
@@ -62,6 +96,7 @@ fn frames_split_at_every_byte_boundary_reassemble_bit_exact() {
         .set_read_timeout(Some(Duration::from_secs(20)))
         .unwrap();
     let mut model = ModelServer::new(1 << 20);
+    let mut one_slot = CacheServer::spawn_bounded(("127.0.0.1", 0), 1 << 20, 8, 1).expect("spawn");
 
     // All PUTs share a wire length (fixed-width key + 64-byte value), so one
     // request's image defines the boundary set for every iteration.
@@ -82,6 +117,8 @@ fn frames_split_at_every_byte_boundary_reassemble_bit_exact() {
         let want = model.respond(Some(put.clone()));
         let got = roundtrip(&mut stream, &put, cut);
         assert_eq!(got, want, "PUT split at byte {cut} diverged");
+        // The same prefix followed by FIN instead of the rest.
+        fin_after_prefix_frees_the_slot(one_slot.addr(), &put.encode(), cut);
 
         // Read the record back through a split GET too, walking the GET's
         // own (smaller) boundary set as `cut` advances.
@@ -93,6 +130,7 @@ fn frames_split_at_every_byte_boundary_reassemble_bit_exact() {
     }
     drop(stream);
     server.stop();
+    one_slot.stop();
 }
 
 /// The same property driven through the simtest harness: a proto schedule

@@ -11,14 +11,19 @@
 use ecc_simtest::{generate, run_schedule, Family, QuietPanics, Schedule};
 
 fn assert_passes(simseed: &str) {
-    let _quiet = QuietPanics::install();
     let s = Schedule::decode(simseed).expect("committed SIMSEED must decode");
     assert_eq!(
         s.encode(),
         simseed,
         "committed SIMSEED must round-trip through encode"
     );
-    if let Err(f) = run_schedule(&s) {
+    // Quiet only while the harness catches its own panics: the failure
+    // below must reach the default hook so the test prints why it failed.
+    let outcome = {
+        let _quiet = QuietPanics::install();
+        run_schedule(&s)
+    };
+    if let Err(f) = outcome {
         panic!("regression schedule failed again: {f}\n  {simseed}");
     }
 }
